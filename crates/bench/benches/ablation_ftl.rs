@@ -1,8 +1,8 @@
 //! Ablation bench: the three FTL families on *identical* workloads —
-//! the design-choice comparison DESIGN.md calls out. Also prints the
-//! virtual-time outcome once per run (who wins on random writes, by
-//! how much) so `cargo bench` output documents the mechanism, not just
-//! host-side speed.
+//! the design choice behind each profile's `ftl_family()`. Also
+//! prints the virtual-time outcome once per run (who wins on random
+//! writes, by how much) so `cargo bench` output documents the
+//! mechanism, not just host-side speed.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::sync::Once;

@@ -31,15 +31,13 @@
 
 use std::time::Duration;
 use uflip_bench::{mean_ms, DeviceTarget, RealDeviceSpec, RealOpenMode};
-use uflip_core::executor::{execute_run_observed, execute_run_with_policy};
 use uflip_core::methodology::state::enforce_random_state;
 use uflip_core::micro::{
     alignment, bursts, granularity, locality, mix, order, parallelism, partitioning, pause,
     MicroConfig,
 };
-use uflip_core::suite::{run_full_suite_sharded_observed, SuiteOptions, SuiteResult};
-use uflip_core::Experiment;
-use uflip_core::IoPolicy;
+use uflip_core::suite::{run_full_suite, SuiteOptions, SuiteResult};
+use uflip_core::{Experiment, IoPolicy, RunResult, Workload};
 use uflip_device::profiles::catalog;
 use uflip_device::BlockDevice;
 use uflip_obs::{CounterId, Metrics, ObsSink, SinkHandle};
@@ -184,6 +182,20 @@ fn micro_experiments(name: &str, cfg: &MicroConfig) -> Option<Vec<Experiment>> {
     })
 }
 
+/// Run one basic pattern under `policy`, observed by `sink`. The run
+/// detaches its sink on return; re-attach it so the session's idle
+/// time and later preparation stay observed too.
+fn run_pattern(
+    dev: &mut dyn BlockDevice,
+    spec: PatternSpec,
+    policy: &IoPolicy,
+    sink: &SinkHandle,
+) -> RunResult {
+    let run = Workload::Basic(spec).run(dev, policy, sink).expect("run");
+    dev.set_sink(sink.clone());
+    run
+}
+
 /// Suite configuration clamped to the device's capacity.
 fn suite_cfg(quick: bool, capacity: u64) -> MicroConfig {
     let mut cfg = if quick {
@@ -275,8 +287,7 @@ fn main() {
                         .with_target(2 * window, window),
                 ),
             ] {
-                let run = execute_run_with_policy(dev.as_mut(), &spec, &cli.io_policy, &sink)
-                    .expect("run");
+                let run = run_pattern(dev.as_mut(), spec, &cli.io_policy, &sink);
                 check_async_error(dev.as_mut(), name);
                 dev.idle(Duration::from_secs(5));
                 println!(
@@ -350,19 +361,17 @@ fn main() {
                             scope.spawn(move || {
                                 let mut dev = profile.build_sim(0xF11B);
                                 let cfg = suite_cfg(quick, dev.capacity_bytes());
-                                let opts = SuiteOptions::default();
+                                let opts = SuiteOptions {
+                                    threads,
+                                    ..Default::default()
+                                };
                                 // Each worker records into its own
                                 // Metrics so write amplification stays
                                 // attributable per device.
                                 let (wa_metrics, wa_sink) = Metrics::shared();
-                                let (plan, result) = run_full_suite_sharded_observed(
-                                    dev.as_mut(),
-                                    &cfg,
-                                    &opts,
-                                    threads,
-                                    &wa_sink,
-                                )
-                                .expect("suite");
+                                let (plan, result) =
+                                    run_full_suite(dev.as_mut(), &cfg, &opts, &wa_sink)
+                                        .expect("suite");
                                 (profile.id.clone(), plan, result, wa_metrics)
                             })
                         })
@@ -393,7 +402,8 @@ fn main() {
                 let mut dev = open_device(&cli, &sink);
                 let cfg = suite_cfg(cli.quick, dev.capacity_bytes());
                 let opts = SuiteOptions {
-                    io_policy: (!cli.io_policy.is_noop()).then_some(cli.io_policy),
+                    io_policy: cli.io_policy,
+                    threads: cli.threads,
                     ..Default::default()
                 };
                 // Always run the suite observed: with --metrics the
@@ -403,14 +413,8 @@ fn main() {
                     Some(m) => (m.metrics.clone(), sink.clone()),
                     None => Metrics::shared(),
                 };
-                let (plan, result) = run_full_suite_sharded_observed(
-                    dev.as_mut(),
-                    &cfg,
-                    &opts,
-                    cli.threads,
-                    &wa_sink,
-                )
-                .expect("suite");
+                let (plan, result) =
+                    run_full_suite(dev.as_mut(), &cfg, &opts, &wa_sink).expect("suite");
                 check_async_error(dev.as_mut(), "suite");
                 println!(
                     "plan: {} runs, {} state resets; device time {:.1} s",
@@ -436,8 +440,7 @@ fn main() {
                     std::process::exit(2);
                 }
             };
-            let run =
-                execute_run_with_policy(dev.as_mut(), &spec, &cli.io_policy, &sink).expect("run");
+            let run = run_pattern(dev.as_mut(), spec, &cli.io_policy, &sink);
             check_async_error(dev.as_mut(), &cli.pattern);
             let s = run.summary_all().expect("non-empty");
             println!(
@@ -468,7 +471,7 @@ fn main() {
                 ),
             ] {
                 let before = WearReport::from_device(&dev);
-                execute_run_observed(dev.as_mut(), &spec, &sink).expect("run");
+                run_pattern(dev.as_mut(), spec, &IoPolicy::none(), &sink);
                 dev.idle(Duration::from_secs(5));
                 let delta = WearReport::from_device(&dev).delta(&before);
                 println!("  {name}: {}", delta.row());

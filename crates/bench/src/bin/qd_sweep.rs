@@ -26,8 +26,8 @@ use std::time::Duration;
 use uflip_bench::{
     prefill_real_device, prepared_device, DeviceTarget, HarnessOptions, RealDeviceSpec,
 };
-use uflip_core::executor::execute_parallel_observed;
 use uflip_core::micro::parallelism::queue_depths;
+use uflip_core::{IoPolicy, Workload};
 use uflip_device::profiles::catalog;
 use uflip_device::BlockDevice;
 use uflip_patterns::{LbaFn, Mode, ParallelSpec, PatternSpec};
@@ -43,6 +43,9 @@ struct SweepPoint {
     elapsed_ms: f64,
     iops: f64,
     speedup_vs_qd1: f64,
+    /// Real targets only: the most IOs the worker pool held in service
+    /// at once during the point — the structural evidence of overlap.
+    peak_in_service: Option<usize>,
 }
 
 const PATTERNS: [(LbaFn, Mode, &str); 3] = [
@@ -84,7 +87,10 @@ fn sweep_real(
         let mut base_iops = 0.0;
         for depth in queue_depths() {
             let par = ParallelSpec::new(base, 16).with_queue_depth(depth);
-            let run = execute_parallel_observed(&mut dev, &par, sink).expect("sweep point");
+            let run = Workload::Parallel(par)
+                .run(&mut dev, &IoPolicy::none(), sink)
+                .expect("sweep point");
+            let peak = dev.threaded_queue_mut().take_peak_concurrency();
             if let Some(e) = dev.take_async_error() {
                 eprintln!("asynchronous IO error during {code} qd{depth}: {e}");
                 std::process::exit(1);
@@ -116,6 +122,7 @@ fn sweep_real(
                 elapsed_ms: secs * 1e3,
                 iops,
                 speedup_vs_qd1: speedup,
+                peak_in_service: Some(peak),
             });
         }
     }
@@ -163,8 +170,9 @@ fn main() {
                 let mut dev = prepared_device(&profile, opts.quick);
                 dev.idle(Duration::from_secs(5));
                 let par = ParallelSpec::new(base, 16).with_queue_depth(depth);
-                let run =
-                    execute_parallel_observed(dev.as_mut(), &par, &sink).expect("sweep point");
+                let run = Workload::Parallel(par)
+                    .run(dev.as_mut(), &IoPolicy::none(), &sink)
+                    .expect("sweep point");
                 let secs = run.elapsed.as_secs_f64();
                 let iops = if secs > 0.0 {
                     run.len() as f64 / secs
@@ -192,6 +200,7 @@ fn main() {
                     elapsed_ms: secs * 1e3,
                     iops,
                     speedup_vs_qd1: speedup,
+                    peak_in_service: None,
                 });
             }
         }

@@ -46,17 +46,19 @@
 //!   they hash *simulated* nanoseconds, not wall time.
 //!
 //! `BENCH_sim_baseline.json` archives the pre-rewrite executor's
-//! numbers and fingerprints; `BENCH_sim.json` is the current record.
+//! numbers and fingerprints; `BENCH_sim.json` is the current record;
+//! `BENCH_sim_quick.json` is the `--quick` record whose fingerprints
+//! CI compares with `--baseline`.
 
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-use uflip_core::executor::execute_parallel_observed;
 use uflip_core::methodology::plan::BenchmarkPlan;
 use uflip_core::micro::MicroConfig;
 use uflip_core::replay::{replay_trace_observed, ReplayMode};
 use uflip_core::run::RunResult;
 use uflip_core::suite::{execute_plan_observed, full_suite, SuiteOptions, SuiteResult};
+use uflip_core::{IoPolicy, Workload};
 use uflip_device::profiles::catalog;
 use uflip_device::SimDevice;
 use uflip_patterns::{LbaFn, Mode, ParallelSpec, PatternSpec};
@@ -309,7 +311,9 @@ fn timed_parallel(
     sink: &uflip_obs::SinkHandle,
 ) -> Measure {
     let t = Instant::now();
-    let run = execute_parallel_observed(dev, par, sink).expect("parallel run");
+    let run = Workload::Parallel(*par)
+        .run(dev, &IoPolicy::none(), sink)
+        .expect("parallel run");
     let host_s = t.elapsed().as_secs_f64();
     Measure {
         host_s,

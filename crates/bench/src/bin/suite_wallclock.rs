@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 use uflip_core::methodology::plan::BenchmarkPlan;
 use uflip_core::micro::MicroConfig;
-use uflip_core::suite::{execute_plan, execute_plan_sharded, full_suite, SuiteOptions};
+use uflip_core::suite::{execute_plan, full_suite, SuiteOptions};
 use uflip_device::profiles::catalog;
 use uflip_report::json::write_json;
 
@@ -133,8 +133,11 @@ fn main() {
 
         let mut dev = profile.build_sim(opts.seed);
         let t = Instant::now();
-        let sharded =
-            execute_plan_sharded(dev.as_mut(), &plan, &opts, cli.threads).expect("sharded");
+        let sharded_opts = SuiteOptions {
+            threads: cli.threads,
+            ..opts
+        };
+        let sharded = execute_plan(dev.as_mut(), &plan, &sharded_opts).expect("sharded");
         let sharded_s = t.elapsed().as_secs_f64();
 
         assert_eq!(

@@ -1,9 +1,10 @@
 //! # uflip-bench — harness shared by the figure/table binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §3 for the index). This library holds the
-//! plumbing they share: argument parsing, output directories, and the
-//! standard preparation sequence (state enforcement + settle) of §4.
+//! paper and is named after it (`fig8_locality`, `table3_summary`, …).
+//! This library holds the plumbing they share: argument parsing,
+//! output directories, and the standard preparation sequence (state
+//! enforcement + settle) of §4.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;

@@ -1,7 +1,8 @@
 //! Pattern executors: drive a device with a pattern, capture every IO's
 //! response time.
 //!
-//! Three executors cover the paper's three pattern classes:
+//! One loop serves each of the paper's three pattern classes, for
+//! every [`IoPolicy`]:
 //!
 //! * [`execute_run`] — basic patterns (one process, synchronous IOs;
 //!   the timing function's delays become device idle time);
@@ -10,6 +11,12 @@
 //! * [`execute_parallel`] — parallel patterns: `ParallelDegree`
 //!   processes each issue their next IO as soon as their previous one
 //!   completes.
+//!
+//! These plain forms run the loops under [`IoPolicy::none`] with no
+//! sink. Retry policies and observation enter through
+//! [`crate::Workload::run`], which drives the same loops with a policy
+//! and a [`uflip_obs::SinkHandle`]; under the noop policy the loops
+//! make exactly the device calls a policy-free loop would.
 //!
 //! ## How parallel patterns are served
 //!
@@ -30,9 +37,10 @@
 //! count shows what those devices *could* have delivered.
 //!
 //! Devices without a queue (e.g. [`uflip_device::MemDevice`]) fall
-//! back to the same virtual-time interleaving computed host-side, with
-//! the device serving one IO at a time — **simulated** queueing rather
-//! than emergent, equivalent to queue depth 1.
+//! back to the same virtual-time interleaving computed host-side
+//! ([`execute_parallel_serial`]), with the device serving one IO at a
+//! time — **simulated** queueing rather than emergent, equivalent to
+//! queue depth 1.
 //!
 //! ## Wall-clock queues
 //!
@@ -49,13 +57,7 @@
 //! real devices), and a blocking `poll` simply stands in for "advance
 //! virtual time to the next completion". Response times remain
 //! completion − submission on the device's own clock in both worlds.
-//!
-//! [`execute_parallel_threads`] remains available for measuring with
-//! independent OS threads over per-process device handles (one file
-//! descriptor per process, the OS scheduler doing the interleaving)
-//! rather than a shared submission queue.
 
-use crate::observe;
 use crate::policy::{self, IoPolicy, SubmitOutcome};
 use crate::run::RunResult;
 use crate::slab::TokenSlab;
@@ -64,36 +66,12 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Duration;
 use uflip_device::{BlockDevice, DeviceError, Token};
-use uflip_patterns::{IoRequest, MixSpec, Mode, ParallelSpec, PatternSpec};
-
-fn issue(dev: &mut dyn BlockDevice, io: &IoRequest) -> Result<Duration> {
-    match io.mode {
-        Mode::Read => dev.read(io.offset, io.size),
-        Mode::Write => dev.write(io.offset, io.size),
-    }
-}
+use uflip_obs::SinkHandle;
+use uflip_patterns::{IoRequest, MixSpec, ParallelSpec, PatternSpec};
 
 /// Execute a basic pattern synchronously. Returns the per-IO trace.
 pub fn execute_run(dev: &mut dyn BlockDevice, spec: &PatternSpec) -> Result<RunResult> {
-    debug_assert!(
-        spec.validate().is_ok(),
-        "invalid spec: {:?}",
-        spec.validate()
-    );
-    let start = dev.now();
-    let mut rts = Vec::with_capacity(spec.io_count as usize);
-    for io in spec.iter() {
-        if io.submit_delay > Duration::ZERO {
-            dev.idle(io.submit_delay);
-        }
-        rts.push(issue(dev, &io)?);
-    }
-    Ok(RunResult::new(
-        spec.code(),
-        rts,
-        spec.io_ignore,
-        dev.now() - start,
-    ))
+    run_basic(dev, spec, &IoPolicy::none(), &SinkHandle::null())
 }
 
 /// Execute a mixed pattern, returning the run plus each IO's process
@@ -109,17 +87,7 @@ pub fn execute_run(dev: &mut dyn BlockDevice, spec: &PatternSpec) -> Result<RunR
 /// change measured response times. Keeping the synchronous path keeps
 /// the Mix micro-benchmark bit-stable with every earlier result.
 pub fn execute_mixed(dev: &mut dyn BlockDevice, mix: &MixSpec) -> Result<(RunResult, Vec<u16>)> {
-    let start = dev.now();
-    let mut rts = Vec::with_capacity(mix.io_count as usize);
-    let mut procs = Vec::with_capacity(mix.io_count as usize);
-    for io in mix.iter() {
-        if io.submit_delay > Duration::ZERO {
-            dev.idle(io.submit_delay);
-        }
-        rts.push(issue(dev, &io)?);
-        procs.push(io.process);
-    }
-    Ok((RunResult::new(mix.name(), rts, 0, dev.now() - start), procs))
+    run_mixed(dev, mix, &IoPolicy::none(), &SinkHandle::null())
 }
 
 /// Execute a parallel pattern.
@@ -131,170 +99,97 @@ pub fn execute_mixed(dev: &mut dyn BlockDevice, mix: &MixSpec) -> Result<(RunRes
 /// measure.
 ///
 /// Queue-capable devices are driven through their submit/poll
-/// [`IoQueue`] (see the module docs); others fall back to host-side
-/// serial interleaving, equivalent to queue depth 1.
+/// [`uflip_device::IoQueue`] (see the module docs); others fall back
+/// to host-side serial interleaving, equivalent to queue depth 1.
 pub fn execute_parallel(dev: &mut dyn BlockDevice, par: &ParallelSpec) -> Result<RunResult> {
-    if dev.io_queue().is_some() {
-        execute_parallel_queued(dev, par)
-    } else {
-        execute_parallel_serial(dev, par)
-    }
+    run_parallel(dev, par, &IoPolicy::none(), &SinkHandle::null())
 }
 
-/// [`execute_run`] under an [`IoPolicy`]: transient IO failures are
+/// Host-side virtual-time interleaving over a device that serves one
+/// IO at a time (the fallback for devices without an
+/// [`uflip_device::IoQueue`]; also the reference semantics the queue
+/// engine must reproduce at depth 1).
+pub fn execute_parallel_serial(dev: &mut dyn BlockDevice, par: &ParallelSpec) -> Result<RunResult> {
+    parallel_serial(dev, par, &IoPolicy::none(), &SinkHandle::null())
+}
+
+/// The basic-pattern loop under a policy: transient IO failures are
 /// retried with backoff (spent as device idle time), slow completions
 /// are counted as timeouts, and a degrading policy records an
-/// exhausted IO's accumulated backoff instead of aborting. With the
-/// noop policy this *is* [`execute_run`] — same code path, bit-stable.
-pub fn execute_run_with_policy(
+/// exhausted IO's accumulated backoff instead of aborting.
+pub(crate) fn run_basic(
     dev: &mut dyn BlockDevice,
     spec: &PatternSpec,
     policy: &IoPolicy,
-    sink: &uflip_obs::SinkHandle,
+    sink: &SinkHandle,
 ) -> Result<RunResult> {
-    if policy.is_noop() {
-        return execute_run(dev, spec);
-    }
-    let enabled = sink.is_enabled();
-    let mut rng = policy.jitter_seed;
-    let start = dev.now();
-    let mut rts = Vec::with_capacity(spec.io_count as usize);
-    for io in spec.iter() {
-        if io.submit_delay > Duration::ZERO {
-            dev.idle(io.submit_delay);
-        }
-        rts.push(policy::issue_with_policy(
-            dev, &io, policy, &mut rng, sink, enabled,
-        )?);
-    }
-    Ok(RunResult::new(
-        spec.code(),
-        rts,
-        spec.io_ignore,
-        dev.now() - start,
-    ))
+    debug_assert!(
+        spec.validate().is_ok(),
+        "invalid spec: {:?}",
+        spec.validate()
+    );
+    let (rts, elapsed) = run_sync(dev, spec.iter(), spec.io_count, policy, sink, |_| {})?;
+    Ok(RunResult::new(spec.code(), rts, spec.io_ignore, elapsed))
 }
 
-/// [`execute_mixed`] under an [`IoPolicy`] (see
-/// [`execute_run_with_policy`] for the semantics).
-pub fn execute_mixed_with_policy(
+/// The mixed-pattern loop under a policy (see [`run_basic`]).
+pub(crate) fn run_mixed(
     dev: &mut dyn BlockDevice,
     mix: &MixSpec,
     policy: &IoPolicy,
-    sink: &uflip_obs::SinkHandle,
+    sink: &SinkHandle,
 ) -> Result<(RunResult, Vec<u16>)> {
-    if policy.is_noop() {
-        return execute_mixed(dev, mix);
-    }
+    let mut procs = Vec::with_capacity(mix.io_count as usize);
+    let (rts, elapsed) = run_sync(dev, mix.iter(), mix.io_count, policy, sink, |io| {
+        procs.push(io.process)
+    })?;
+    Ok((RunResult::new(mix.name(), rts, 0, elapsed), procs))
+}
+
+/// The synchronous stream shared by basic and mixed patterns: each
+/// IO's submit delay becomes device idle time, then the IO is issued
+/// under `policy`. Returns the response times and the elapsed device
+/// time.
+fn run_sync(
+    dev: &mut dyn BlockDevice,
+    ios: impl Iterator<Item = IoRequest>,
+    io_count: u64,
+    policy: &IoPolicy,
+    sink: &SinkHandle,
+    mut each: impl FnMut(&IoRequest),
+) -> Result<(Vec<Duration>, Duration)> {
     let enabled = sink.is_enabled();
     let mut rng = policy.jitter_seed;
     let start = dev.now();
-    let mut rts = Vec::with_capacity(mix.io_count as usize);
-    let mut procs = Vec::with_capacity(mix.io_count as usize);
-    for io in mix.iter() {
+    let mut rts = Vec::with_capacity(io_count as usize);
+    for io in ios {
         if io.submit_delay > Duration::ZERO {
             dev.idle(io.submit_delay);
         }
         rts.push(policy::issue_with_policy(
             dev, &io, policy, &mut rng, sink, enabled,
         )?);
-        procs.push(io.process);
+        each(&io);
     }
-    Ok((RunResult::new(mix.name(), rts, 0, dev.now() - start), procs))
+    Ok((rts, dev.now() - start))
 }
 
-/// [`execute_parallel`] under an [`IoPolicy`]: submit-time transient
+/// The parallel-pattern loop under a policy: submit-time transient
 /// rejections retry with the backoff applied to the submission
 /// instant (the response time, completion − intended submission,
 /// includes it); queue back-pressure is handled by the event loop as
-/// always. With the noop policy this *is* [`execute_parallel`].
-pub fn execute_parallel_with_policy(
+/// always.
+pub(crate) fn run_parallel(
     dev: &mut dyn BlockDevice,
     par: &ParallelSpec,
     policy: &IoPolicy,
-    sink: &uflip_obs::SinkHandle,
+    sink: &SinkHandle,
 ) -> Result<RunResult> {
-    if policy.is_noop() {
-        return execute_parallel(dev, par);
-    }
     if dev.io_queue().is_some() {
-        execute_parallel_queued_with_policy(dev, par, policy, sink)
+        parallel_queued(dev, par, policy, sink)
     } else {
-        execute_parallel_serial_with_policy(dev, par, policy, sink)
+        parallel_serial(dev, par, policy, sink)
     }
-}
-
-/// Observed [`execute_run`]: attach `sink` to the device, execute the
-/// pattern, then record the running-phase response times under the
-/// pattern's latency class and emit the run's counter delta as a
-/// [`uflip_obs::WorkloadMetrics`] record. With a null sink this is
-/// exactly [`execute_run`] (the sink attach is a no-op handle store).
-pub fn execute_run_observed(
-    dev: &mut dyn BlockDevice,
-    spec: &PatternSpec,
-    sink: &uflip_obs::SinkHandle,
-) -> Result<RunResult> {
-    dev.set_sink(sink.clone());
-    let observed = sink.is_enabled();
-    let before = observed.then(|| observe::counters_now(sink));
-    let run = execute_run(dev, spec)?;
-    if observed {
-        let class = match spec.mode {
-            Mode::Read => uflip_obs::LatencyClass::Read,
-            Mode::Write => uflip_obs::LatencyClass::Write,
-        };
-        observe::record_run_latencies(sink, class, &run);
-        if let Some(before) = &before {
-            observe::emit_workload_delta(sink, &run.label, before);
-        }
-    }
-    Ok(run)
-}
-
-/// Observed [`execute_mixed`]: as [`execute_run_observed`], with the
-/// response times recorded under [`uflip_obs::LatencyClass::Mixed`]
-/// (mix runs interleave reads and writes in one stream).
-pub fn execute_mixed_observed(
-    dev: &mut dyn BlockDevice,
-    mix: &MixSpec,
-    sink: &uflip_obs::SinkHandle,
-) -> Result<(RunResult, Vec<u16>)> {
-    dev.set_sink(sink.clone());
-    let observed = sink.is_enabled();
-    let before = observed.then(|| observe::counters_now(sink));
-    let (run, procs) = execute_mixed(dev, mix)?;
-    if observed {
-        observe::record_run_latencies(sink, uflip_obs::LatencyClass::Mixed, &run);
-        if let Some(before) = &before {
-            observe::emit_workload_delta(sink, &run.label, before);
-        }
-    }
-    Ok((run, procs))
-}
-
-/// Observed [`execute_parallel`]: as [`execute_run_observed`], with
-/// the latency class taken from the base pattern's mode (every
-/// process replays the same single-mode pattern).
-pub fn execute_parallel_observed(
-    dev: &mut dyn BlockDevice,
-    par: &ParallelSpec,
-    sink: &uflip_obs::SinkHandle,
-) -> Result<RunResult> {
-    dev.set_sink(sink.clone());
-    let observed = sink.is_enabled();
-    let before = observed.then(|| observe::counters_now(sink));
-    let run = execute_parallel(dev, par)?;
-    if observed {
-        let class = match par.base.mode {
-            Mode::Read => uflip_obs::LatencyClass::Read,
-            Mode::Write => uflip_obs::LatencyClass::Write,
-        };
-        observe::record_run_latencies(sink, class, &run);
-        if let Some(before) = &before {
-            observe::emit_workload_delta(sink, &run.label, before);
-        }
-    }
-    Ok(run)
 }
 
 /// Drive a queue-capable device with the parallel pattern's processes.
@@ -306,10 +201,14 @@ pub fn execute_parallel_observed(
 /// submitted while the queue has a free slot *and* no known in-flight
 /// completion precedes the candidate's submission (a completion may
 /// release a process whose next IO submits earlier); otherwise the
-/// earliest completion is retired first. On wall-clock devices the
-/// invariant is relaxed rather than enforced — a completion observed
-/// late can yield a submission dated before an already-submitted IO,
-/// which the device clamps to "now" (see `uflip_device::queue`).
+/// earliest completion is retired first. A submission the policy
+/// retried lands after its intended instant; that effective instant
+/// becomes a floor for every later submission, so the invariant
+/// survives retries (under the noop policy the floor never moves). On
+/// wall-clock devices the invariant is relaxed rather than enforced —
+/// a completion observed late can yield a submission dated before an
+/// already-submitted IO, which the device clamps to "now" (see
+/// `uflip_device::queue`).
 ///
 /// ## The event calendar
 ///
@@ -324,7 +223,14 @@ pub fn execute_parallel_observed(
 /// schedule is bit-identical to the scan
 /// ([`execute_parallel_queued_reference`] keeps the old loop as the
 /// behavioral reference).
-fn execute_parallel_queued(dev: &mut dyn BlockDevice, par: &ParallelSpec) -> Result<RunResult> {
+fn parallel_queued(
+    dev: &mut dyn BlockDevice,
+    par: &ParallelSpec,
+    policy: &IoPolicy,
+    sink: &SinkHandle,
+) -> Result<RunResult> {
+    let enabled = sink.is_enabled();
+    let mut rng = policy.jitter_seed;
     let specs = par.process_specs();
     let total_ios: usize = specs.iter().map(|s| s.io_count as usize).sum();
     let mut streams: Vec<_> = specs.into_iter().map(|s| s.iter()).collect();
@@ -355,6 +261,9 @@ fn execute_parallel_queued(dev: &mut dyn BlockDevice, par: &ParallelSpec) -> Res
     let mut rts: Vec<Duration> = Vec::with_capacity(total_ios);
     let mut seq = 0usize;
     let mut last_completion = base;
+    // Earliest instant the next submission may carry; only a retried
+    // (or given-up) submission moves it past the calendar's own order.
+    let mut floor = base;
     loop {
         // Earliest-submitting runnable process, if any.
         let Some(&Reverse((submit, p))) = calendar.peek() else {
@@ -376,10 +285,11 @@ fn execute_parallel_queued(dev: &mut dyn BlockDevice, par: &ParallelSpec) -> Res
                 None => break,
             }
         };
+        let at = submit.max(floor);
         // Retire completions that precede this submission: they may
         // unblock a process with an even earlier arrival.
         if let Some(next_done) = queue.next_completion() {
-            if next_done <= submit {
+            if next_done <= at {
                 let (token, completion) = queue
                     .poll()
                     .ok_or(DeviceError::Internal("peeked completion vanished"))?;
@@ -400,15 +310,18 @@ fn execute_parallel_queued(dev: &mut dyn BlockDevice, par: &ParallelSpec) -> Res
         let io = pending[p]
             .take()
             .ok_or(DeviceError::Internal("calendar entry without an IO"))?;
-        match queue.submit(&io, submit) {
-            Ok(token) => {
+        match policy::submit_with_policy(queue, &io, at, policy, &mut rng, sink, enabled)? {
+            SubmitOutcome::Submitted(token, effective) => {
+                if effective > at {
+                    floor = effective;
+                }
                 inflight.insert(token, (p, submit, seq));
                 seq += 1;
                 rts.push(Duration::ZERO); // placeholder until completion
                 pending[p] = streams[p].next();
                 // p re-enters the calendar when this IO completes.
             }
-            Err(DeviceError::QueueFull { .. }) => {
+            SubmitOutcome::Full => {
                 // Back-pressure: retire one completion and retry.
                 pending[p] = Some(io);
                 calendar.push(Reverse((submit, p)));
@@ -426,7 +339,26 @@ fn execute_parallel_queued(dev: &mut dyn BlockDevice, par: &ParallelSpec) -> Res
                 );
                 last_completion = last_completion.max(completion);
             }
-            Err(e) => return Err(e),
+            SubmitOutcome::Degraded(waited) => {
+                // The IO never reached the device: book its backoff as
+                // the response time and release its process.
+                rts.push(waited);
+                seq += 1;
+                floor = at + waited;
+                ready[p] = submit + waited;
+                last_completion = last_completion.max(ready[p]);
+                pending[p] = streams[p].next();
+                if let Some(io) = &pending[p] {
+                    calendar.push(Reverse((ready[p] + io.submit_delay, p)));
+                }
+            }
+        }
+    }
+    // Timeouts are observed over final response times (a queued IO's
+    // slowness is only known at completion).
+    if policy.timeout.is_some() {
+        for &rt in &rts {
+            policy::observe_timeout(policy, rt, sink, enabled);
         }
     }
     if queue.queue_depth() != device_depth {
@@ -456,149 +388,26 @@ fn retire(
     }
 }
 
-/// The policy-aware twin of [`execute_parallel_queued`]: identical
-/// event loop, with submissions mediated by
-/// [`policy::submit_with_policy`]. Kept separate so the plain loop
-/// stays free of policy branches (and bit-stable).
-fn execute_parallel_queued_with_policy(
+/// Host-side serial interleaving under a policy (see
+/// [`execute_parallel_serial`]).
+fn parallel_serial(
     dev: &mut dyn BlockDevice,
     par: &ParallelSpec,
     policy: &IoPolicy,
-    sink: &uflip_obs::SinkHandle,
-) -> Result<RunResult> {
-    let enabled = sink.is_enabled();
-    let mut rng = policy.jitter_seed;
-    let specs = par.process_specs();
-    let total_ios: usize = specs.iter().map(|s| s.io_count as usize).sum();
-    let mut streams: Vec<_> = specs.into_iter().map(|s| s.iter()).collect();
-    let n = streams.len();
-    let base = dev.now();
-    let mut ready: Vec<Duration> = vec![base; n];
-    let mut pending: Vec<Option<IoRequest>> = streams.iter_mut().map(|s| s.next()).collect();
-    let queue = dev
-        .io_queue()
-        .ok_or(DeviceError::Internal("device lost its queue mid-run"))?;
-    let device_depth = queue.queue_depth();
-    if let Some(depth) = par.queue_depth {
-        queue.set_queue_depth(depth)?;
-    }
-    let mut calendar: BinaryHeap<Reverse<(Duration, usize)>> = BinaryHeap::with_capacity(n);
-    for (p, io) in pending.iter().enumerate() {
-        if let Some(io) = io {
-            calendar.push(Reverse((ready[p] + io.submit_delay, p)));
-        }
-    }
-    let mut inflight: TokenSlab<(usize, Duration, usize)> = TokenSlab::new();
-    let mut rts: Vec<Duration> = Vec::with_capacity(total_ios);
-    let mut seq = 0usize;
-    let mut last_completion = base;
-    loop {
-        let Some(&Reverse((submit, p))) = calendar.peek() else {
-            match queue.poll() {
-                Some((token, completion)) => {
-                    retire(
-                        &mut inflight,
-                        &mut calendar,
-                        &mut ready,
-                        &pending,
-                        &mut rts,
-                        token,
-                        completion,
-                    );
-                    last_completion = last_completion.max(completion);
-                    continue;
-                }
-                None => break,
-            }
-        };
-        if let Some(next_done) = queue.next_completion() {
-            if next_done <= submit {
-                let (token, completion) = queue
-                    .poll()
-                    .ok_or(DeviceError::Internal("peeked completion vanished"))?;
-                retire(
-                    &mut inflight,
-                    &mut calendar,
-                    &mut ready,
-                    &pending,
-                    &mut rts,
-                    token,
-                    completion,
-                );
-                last_completion = last_completion.max(completion);
-                continue;
-            }
-        }
-        calendar.pop();
-        let io = pending[p]
-            .take()
-            .ok_or(DeviceError::Internal("calendar entry without an IO"))?;
-        match policy::submit_with_policy(queue, &io, submit, policy, &mut rng, sink, enabled)? {
-            SubmitOutcome::Submitted(token) => {
-                inflight.insert(token, (p, submit, seq));
-                seq += 1;
-                rts.push(Duration::ZERO); // placeholder until completion
-                pending[p] = streams[p].next();
-            }
-            SubmitOutcome::Full => {
-                pending[p] = Some(io);
-                calendar.push(Reverse((submit, p)));
-                let (token, completion) = queue
-                    .poll()
-                    .ok_or(DeviceError::Internal("full queue with nothing to poll"))?;
-                retire(
-                    &mut inflight,
-                    &mut calendar,
-                    &mut ready,
-                    &pending,
-                    &mut rts,
-                    token,
-                    completion,
-                );
-                last_completion = last_completion.max(completion);
-            }
-            SubmitOutcome::Degraded(waited) => {
-                // The IO never reached the device: book its backoff as
-                // the response time and release its process.
-                rts.push(waited);
-                seq += 1;
-                ready[p] = submit + waited;
-                last_completion = last_completion.max(ready[p]);
-                pending[p] = streams[p].next();
-                if let Some(io) = &pending[p] {
-                    calendar.push(Reverse((ready[p] + io.submit_delay, p)));
-                }
-            }
-        }
-    }
-    // Timeouts are observed over final response times (a queued IO's
-    // slowness is only known at completion).
-    if policy.timeout.is_some() {
-        for &rt in &rts {
-            policy::observe_timeout(policy, rt, sink, enabled);
-        }
-    }
-    if queue.queue_depth() != device_depth {
-        queue.set_queue_depth(device_depth)?;
-    }
-    Ok(RunResult::new(par.name(), rts, 0, last_completion - base))
-}
-
-/// The policy-aware twin of [`execute_parallel_serial`].
-fn execute_parallel_serial_with_policy(
-    dev: &mut dyn BlockDevice,
-    par: &ParallelSpec,
-    policy: &IoPolicy,
-    sink: &uflip_obs::SinkHandle,
+    sink: &SinkHandle,
 ) -> Result<RunResult> {
     let enabled = sink.is_enabled();
     let mut rng = policy.jitter_seed;
     let mut streams: Vec<_> = par.process_specs().into_iter().map(|s| s.iter()).collect();
+    // Per-process: (ready virtual time, pending IO).
     let base = dev.now();
     let mut ready: Vec<Duration> = vec![base; streams.len()];
     let mut pending: Vec<Option<IoRequest>> = streams.iter_mut().map(|s| s.next()).collect();
     let mut device_free = base;
     let mut rts = Vec::new();
+    // Pick the process whose next IO is submitted earliest (ready time
+    // plus its timing-function delay — the same order the queued path
+    // uses, so the two paths stay equivalent at depth 1).
     while let Some(p) = (0..streams.len())
         .filter(|&p| pending[p].is_some())
         .min_by_key(|&p| {
@@ -609,6 +418,7 @@ fn execute_parallel_serial_with_policy(
     {
         let Some(io) = pending[p].take() else { break };
         let submit = ready[p] + io.submit_delay;
+        // If the device sat idle between IOs, let background work run.
         if submit > device_free {
             dev.idle(submit - device_free);
             device_free = submit;
@@ -742,101 +552,11 @@ pub fn execute_parallel_queued_reference(
     Ok(RunResult::new(par.name(), rts, 0, last_completion - base))
 }
 
-/// Host-side virtual-time interleaving over a device that serves one
-/// IO at a time (the fallback for devices without an [`IoQueue`]; also
-/// the reference semantics the queue engine must reproduce at depth 1).
-pub fn execute_parallel_serial(dev: &mut dyn BlockDevice, par: &ParallelSpec) -> Result<RunResult> {
-    let mut streams: Vec<_> = par.process_specs().into_iter().map(|s| s.iter()).collect();
-    // Per-process: (ready virtual time, pending IO).
-    let base = dev.now();
-    let mut ready: Vec<Duration> = vec![base; streams.len()];
-    let mut pending: Vec<Option<IoRequest>> = streams.iter_mut().map(|s| s.next()).collect();
-    let mut device_free = base;
-    let mut rts = Vec::new();
-    // Pick the process whose next IO is submitted earliest (ready time
-    // plus its timing-function delay — the same order the queued path
-    // uses, so the two paths stay equivalent at depth 1).
-    while let Some(p) = (0..streams.len())
-        .filter(|&p| pending[p].is_some())
-        .min_by_key(|&p| {
-            pending[p]
-                .as_ref()
-                .map_or(Duration::MAX, |io| ready[p] + io.submit_delay)
-        })
-    {
-        let Some(io) = pending[p].take() else { break };
-        let submit = ready[p] + io.submit_delay;
-        // If the device sat idle between IOs, let background work run.
-        if submit > device_free {
-            dev.idle(submit - device_free);
-            device_free = submit;
-        }
-        let service = issue(dev, &io)?;
-        let completion = device_free.max(submit) + service;
-        rts.push(completion - submit);
-        device_free = completion;
-        ready[p] = completion;
-        pending[p] = streams[p].next();
-    }
-    Ok(RunResult::new(par.name(), rts, 0, device_free - base))
-}
-
-/// Execute a parallel pattern with real OS threads, one per process,
-/// each driving its own device handle (e.g. separate `O_DIRECT` file
-/// descriptors onto the same block device). Used for real-hardware
-/// measurements where the OS does the interleaving.
-pub fn execute_parallel_threads<F>(make_dev: F, par: &ParallelSpec) -> Result<RunResult>
-where
-    F: Fn(u32) -> Result<Box<dyn BlockDevice + Send>> + Sync,
-{
-    let specs = par.process_specs();
-    let per_process: Vec<Result<(Vec<Duration>, Duration)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = specs
-            .iter()
-            .enumerate()
-            .map(|(p, spec)| {
-                let make_dev = &make_dev;
-                let spec = *spec;
-                scope.spawn(move || -> Result<(Vec<Duration>, Duration)> {
-                    let mut dev = make_dev(p as u32)?;
-                    let start = dev.now();
-                    let mut rts = Vec::with_capacity(spec.io_count as usize);
-                    for io in spec.iter() {
-                        if io.submit_delay > Duration::ZERO {
-                            dev.idle(io.submit_delay);
-                        }
-                        rts.push(issue(dev.as_mut(), &io)?);
-                    }
-                    let elapsed = dev.now() - start;
-                    Ok((rts, elapsed))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // uflip-lint: allow(UF002, UF031, reason = "join propagates a worker thread's panic; swallowing it would fake results")
-            .map(|h| h.join().expect("benchmark threads do not panic"))
-            .collect()
-    });
-    // The processes ran concurrently: the run's elapsed time is the
-    // slowest thread's wall-clock, not the sum of every response time.
-    // Response times stay grouped per process, in each process's
-    // submission order, so per-process analyses remain possible.
-    let mut all = Vec::new();
-    let mut elapsed = Duration::ZERO;
-    for run in per_process {
-        let (rts, thread_elapsed) = run?;
-        all.extend(rts);
-        elapsed = elapsed.max(thread_elapsed);
-    }
-    Ok(RunResult::new(par.name(), all, 0, elapsed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use uflip_device::MemDevice;
-    use uflip_patterns::{LbaFn, TimingFn};
+    use uflip_patterns::{LbaFn, Mode, TimingFn};
 
     const KB: u64 = 1024;
     const MB: u64 = 1024 * 1024;
@@ -926,22 +646,5 @@ mod tests {
         let par = ParallelSpec::new(base, 4);
         execute_parallel(&mut d, &par).unwrap();
         assert_eq!(d.writes(), 32, "every process IO reaches the device");
-    }
-
-    #[test]
-    fn threaded_parallel_collects_all_ios() {
-        let base = PatternSpec::baseline(LbaFn::Sequential, Mode::Write, 32 * KB, 4 * MB, 16);
-        let par = ParallelSpec::new(base, 4);
-        let run = execute_parallel_threads(
-            |_p| {
-                Ok(
-                    Box::new(MemDevice::new(64 * MB, Duration::from_micros(10), 0))
-                        as Box<dyn BlockDevice + Send>,
-                )
-            },
-            &par,
-        )
-        .unwrap();
-        assert_eq!(run.len(), 16);
     }
 }

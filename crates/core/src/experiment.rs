@@ -4,15 +4,14 @@
 //! pattern is called an experiment. To enable sound analysis … we design
 //! each experiment around a single varying parameter."
 
-use crate::executor::{
-    execute_mixed, execute_mixed_with_policy, execute_parallel, execute_parallel_with_policy,
-    execute_run, execute_run_with_policy,
-};
+use crate::executor::{run_basic, run_mixed, run_parallel};
+use crate::observe;
 use crate::policy::IoPolicy;
 use crate::run::RunResult;
 use crate::stats::RunStats;
 use crate::Result;
 use uflip_device::BlockDevice;
+use uflip_obs::SinkHandle;
 use uflip_patterns::{MixSpec, ParallelSpec, PatternSpec};
 
 /// A workload point: one of the paper's three pattern classes.
@@ -27,31 +26,62 @@ pub enum Workload {
 }
 
 impl Workload {
-    /// Execute the workload against a device.
+    /// Execute the workload against a device: the noop policy, no
+    /// sink. Whatever sink the device already carries stays attached
+    /// and keeps receiving the layers' counters.
     pub fn execute(&self, dev: &mut dyn BlockDevice) -> Result<RunResult> {
-        match self {
-            Workload::Basic(spec) => execute_run(dev, spec),
-            Workload::Mixed(mix) => execute_mixed(dev, mix).map(|(run, _)| run),
-            Workload::Parallel(par) => execute_parallel(dev, par),
-        }
+        self.measure(dev, &IoPolicy::none(), &SinkHandle::null(), false)
     }
 
-    /// Execute the workload under an [`IoPolicy`]: transient device
-    /// faults are retried with backoff and accounted to `sink`. With
-    /// the noop policy this is exactly [`Workload::execute`].
-    pub fn execute_with_policy(
+    /// Execute the workload under an [`IoPolicy`], observed by `sink`.
+    ///
+    /// The sink is attached to the device for the duration of the call
+    /// (so NAND, FTL, queue and host-IO counters flow from the layers
+    /// below) and the null sink is re-attached before returning, on
+    /// success and on error. Transient device faults are retried with
+    /// backoff and accounted to the sink. After the run, its
+    /// running-phase response times are recorded under
+    /// [`Workload::latency_class`] and its counter delta is emitted as
+    /// a [`uflip_obs::WorkloadMetrics`] record. With the noop policy and
+    /// the null sink the result is exactly [`Workload::execute`]'s.
+    pub fn run(
         &self,
         dev: &mut dyn BlockDevice,
         policy: &IoPolicy,
-        sink: &uflip_obs::SinkHandle,
+        sink: &SinkHandle,
     ) -> Result<RunResult> {
-        match self {
-            Workload::Basic(spec) => execute_run_with_policy(dev, spec, policy, sink),
-            Workload::Mixed(mix) => {
-                execute_mixed_with_policy(dev, mix, policy, sink).map(|(run, _)| run)
+        dev.set_sink(sink.clone());
+        let run = self.measure(dev, policy, sink, true);
+        dev.set_sink(SinkHandle::null());
+        run
+    }
+
+    /// The one loop behind [`Workload::execute`], [`Workload::run`] and
+    /// the plan executor: run the workload's executor under `policy`,
+    /// then, with an enabled sink, record the running-phase response
+    /// times and — if `emit_delta` — the run's counter delta. Leaves
+    /// the device's sink alone.
+    pub(crate) fn measure(
+        &self,
+        dev: &mut dyn BlockDevice,
+        policy: &IoPolicy,
+        sink: &SinkHandle,
+        emit_delta: bool,
+    ) -> Result<RunResult> {
+        let observed = sink.is_enabled();
+        let before = (observed && emit_delta).then(|| observe::counters_now(sink));
+        let run = match self {
+            Workload::Basic(spec) => run_basic(dev, spec, policy, sink)?,
+            Workload::Mixed(mix) => run_mixed(dev, mix, policy, sink)?.0,
+            Workload::Parallel(par) => run_parallel(dev, par, policy, sink)?,
+        };
+        if observed {
+            observe::record_run_latencies(sink, self.latency_class(), &run);
+            if let Some(before) = &before {
+                observe::emit_workload_delta(sink, &run.label, before);
             }
-            Workload::Parallel(par) => execute_parallel_with_policy(dev, par, policy, sink),
         }
+        Ok(run)
     }
 
     /// The latency population this workload's response times belong

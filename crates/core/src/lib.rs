@@ -9,8 +9,8 @@
 //!
 //! * [`executor`] — runs a pattern against a [`uflip_device::BlockDevice`]
 //!   and records the response time of every IO (design principle 1);
-//!   includes the virtual-time interleaver for parallel patterns and a
-//!   thread-based executor for real devices.
+//!   includes the virtual-time interleaver for parallel patterns, which
+//!   drives real devices through their threaded queue too.
 //! * [`run`] / [`stats`] — runs, experiments and their statistics
 //!   (min / max / mean / standard deviation, computed over the IOs after
 //!   the `IOIgnore` warm-up prefix).
@@ -53,20 +53,14 @@ pub use calibrate::{
     calibrate, fit as fit_profile, measure as measure_device, CalibrationConfig,
     CalibrationMeasurement, CalibrationOutcome,
 };
-pub use executor::{
-    execute_mixed, execute_mixed_observed, execute_mixed_with_policy, execute_parallel,
-    execute_parallel_observed, execute_parallel_with_policy, execute_run, execute_run_observed,
-    execute_run_with_policy,
-};
+pub use executor::{execute_mixed, execute_parallel, execute_run};
 pub use experiment::{Experiment, ExperimentResult, Workload};
 pub use policy::{ExhaustionAction, IoPolicy};
 pub use replay::{replay_trace, replay_trace_observed, replay_trace_with_policy, ReplayMode};
 pub use run::RunResult;
-pub use stats::{RunStats, StreamingStats};
+pub use stats::RunStats;
 pub use suite::{
-    execute_plan, execute_plan_observed, execute_plan_sharded, execute_plan_sharded_observed,
-    full_suite, run_full_suite, run_full_suite_observed, run_full_suite_sharded,
-    run_full_suite_sharded_observed, SuiteOptions, SuiteResult,
+    execute_plan, execute_plan_observed, full_suite, run_full_suite, SuiteOptions, SuiteResult,
 };
 
 /// Result alias shared with the device layer.

@@ -1,20 +1,21 @@
-//! Shared plumbing for the observed (`*_observed`) executor entry
-//! points.
+//! Shared plumbing for the observed entry points
+//! ([`crate::Workload::run`], [`crate::replay::replay_trace_with_policy`]
+//! and [`crate::suite::execute_plan_observed`]).
 //!
-//! Every executor in this crate has an observed variant that takes a
-//! [`uflip_obs::SinkHandle`]: it attaches the sink to the device (so
-//! NAND, FTL, queue and host-IO counters flow from the layers below)
-//! and, after each run, records the run's response times into the
-//! sink's latency histograms and emits a per-workload counter delta
-//! ([`uflip_obs::WorkloadMetrics`] — host IO, bytes programmed/erased,
-//! write amplification).
+//! Each takes a [`uflip_obs::SinkHandle`]: it attaches the sink to the
+//! device for the duration of the call (so NAND, FTL, queue and
+//! host-IO counters flow from the layers below), re-attaches the null
+//! sink before returning, and, after each run, records the run's
+//! response times into the sink's latency histograms and emits a
+//! per-workload counter delta ([`uflip_obs::WorkloadMetrics`] — host
+//! IO, bytes programmed/erased, write amplification).
 //!
-//! The plain entry points delegate to the observed ones with
-//! [`SinkHandle::null`], so the unobserved path stays the default and
-//! pays nothing: one `is_enabled()` test per run, zero per IO (the
-//! per-IO guards live in the instrumented layers and are cached
-//! `bool`s). Response times recorded here are exactly the ones the
-//! run's [`crate::RunStats`] summarizes — the running phase, after the
+//! The plain entry points pass [`SinkHandle::null`] and never touch the
+//! device's sink, so the unobserved path stays the default and pays
+//! nothing: one `is_enabled()` test per run, zero per IO (the per-IO
+//! guards live in the instrumented layers and are cached `bool`s).
+//! Response times recorded here are exactly the ones the run's
+//! [`crate::RunStats`] summarizes — the running phase, after the
 //! `io_ignore` warm-up prefix — so histogram quantiles and exact
 //! percentiles describe the same population.
 

@@ -27,9 +27,11 @@
 //! ([`uflip_device::DeviceError::QueueFull`]) is never consumed by the
 //! policy — the event loops handle it as flow control.
 //!
-//! The noop policy ([`IoPolicy::none`]) is the default everywhere and
-//! leaves every executor on its historical code path, bit-identical to
-//! earlier releases.
+//! The noop policy ([`IoPolicy::none`]) is the default everywhere.
+//! Under it the policy-mediated calls below make exactly the device
+//! calls a bare `read`/`write`/`submit` makes — no retry, no timeout,
+//! the same error mapping — so every executor runs one loop for every
+//! policy, bit-identical to the pre-policy results.
 
 use crate::Result;
 use std::time::Duration;
@@ -87,7 +89,7 @@ impl Default for IoPolicy {
 
 impl IoPolicy {
     /// The noop policy: no retries, no timeout. Executors given it
-    /// take their historical code paths unchanged.
+    /// make exactly the device calls of a policy-free loop.
     pub fn none() -> Self {
         IoPolicy {
             max_retries: 0,
@@ -234,17 +236,20 @@ pub(crate) fn issue_with_policy(
 
 /// Outcome of a policy-mediated queued submission.
 pub(crate) enum SubmitOutcome {
-    /// The IO is in flight under this token; its effective submission
-    /// instant is the intended one plus any retry backoff (response
-    /// times computed against the *intended* instant therefore include
-    /// the backoff, as they should).
-    Submitted(Token),
+    /// The IO is in flight under this token, submitted at the given
+    /// effective instant: the intended one plus any retry backoff.
+    /// Callers keep later submissions at or after it (the
+    /// [`IoQueue::submit`] ordering contract); response times are
+    /// still computed against the *intended* instant, so they include
+    /// the backoff, as they should.
+    Submitted(Token, Duration),
     /// The queue is full — back-pressure for the caller's event loop,
     /// never consumed by the policy.
     Full,
     /// The IO exhausted its budget under a degrading policy; it never
     /// reached the device. The payload is the backoff it accumulated —
-    /// its recorded response time.
+    /// its recorded response time. Its last rejected attempt was made
+    /// at the intended instant plus this backoff.
     Degraded(Duration),
 }
 
@@ -268,7 +273,7 @@ pub(crate) fn submit_with_policy(
                 if attempt > 0 && enabled {
                     sink.latency(LatencyClass::Retry, waited.as_nanos() as u64);
                 }
-                return Ok(SubmitOutcome::Submitted(token));
+                return Ok(SubmitOutcome::Submitted(token, at + waited));
             }
             Err(DeviceError::QueueFull { .. }) => return Ok(SubmitOutcome::Full),
             Err(e) if e.is_transient() && attempt < policy.max_retries => {

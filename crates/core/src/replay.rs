@@ -17,9 +17,8 @@
 //!   of a synthetic pattern.
 //!
 //! Both modes go through the device's [`IoQueue`] when it has one
-//! (depth 1 reproduces the synchronous path bit-for-bit — see PR 1's
-//! queue-engine guarantees) and fall back to synchronous issue
-//! otherwise, so every backend — mem, sim, direct — can serve a
+//! (depth 1 reproduces the synchronous path bit-for-bit) and fall back
+//! to synchronous issue otherwise, so every backend — mem, sim, direct — can serve a
 //! replay. Real devices serve it through their wall-clock
 //! [`uflip_device::ThreadedIoQueue`]: there `submit(at)` means
 //! "start no earlier than `at`" (faithful mode's recorded gaps become
@@ -32,13 +31,19 @@
 //! The recorded response time of each IO is *completion − intended
 //! submission*: queueing delay behind a backlogged device counts, just
 //! as a host thread would measure it.
+//!
+//! One per-record loop serves both modes for every [`IoPolicy`]; the
+//! only other path is the batched open-loop fast path, taken under the
+//! noop policy, which has nothing to do per submission.
 
+use crate::observe;
 use crate::policy::{self, IoPolicy, SubmitOutcome};
 use crate::run::RunResult;
 use crate::slab::TokenSlab;
 use crate::Result;
 use std::time::Duration;
-use uflip_device::{BlockDevice, DeviceError, Token};
+use uflip_device::{BlockDevice, DeviceError, IoQueue, Token};
+use uflip_obs::SinkHandle;
 use uflip_patterns::{IoRequest, Mode};
 use uflip_trace::Trace;
 
@@ -70,112 +75,91 @@ impl ReplayMode {
 /// order ([`Trace::is_time_ordered`]); sort first if unsure. Returns
 /// the per-IO response-time trace of the replay (same shape every
 /// executor produces), with `elapsed` spanning first submission to
-/// last completion.
+/// last completion. Whatever sink the device carries stays attached.
 pub fn replay_trace(
     dev: &mut dyn BlockDevice,
     trace: &Trace,
     mode: ReplayMode,
 ) -> Result<RunResult> {
-    let label = format!("replay({},{})", trace.label, mode.code());
-    if trace.is_empty() {
-        return Ok(RunResult::new(label, Vec::new(), 0, Duration::ZERO));
-    }
-    assert!(
-        trace.is_time_ordered(),
-        "replay requires submit-ordered records; call Trace::sort_by_submit first"
-    );
-    let queued = dev.io_queue().is_some();
-    match (mode, queued) {
-        (ReplayMode::TimingFaithful, true) => {
-            let depth = trace.max_queue_depth().max(1);
-            replay_queued(dev, trace, label, depth, true)
-        }
-        (ReplayMode::TimingFaithful, false) => replay_faithful_serial(dev, trace, label),
-        (ReplayMode::OpenLoop { queue_depth }, true) => {
-            replay_queued(dev, trace, label, queue_depth.max(1), false)
-        }
-        (ReplayMode::OpenLoop { .. }, false) => replay_open_serial(dev, trace, label),
-    }
+    replay(dev, trace, mode, &IoPolicy::none(), &SinkHandle::null())
 }
 
-/// Observed [`replay_trace`]: attach `sink` to the device, replay the
-/// trace, then record each IO's response time under the latency class
-/// of its *recorded op* (reads and writes land in separate
-/// histograms, unlike the single-class pattern executors) and emit
-/// the replay's counter delta as a [`uflip_obs::WorkloadMetrics`]
-/// record. With a null sink this is exactly [`replay_trace`].
+/// Observed [`replay_trace`]: [`replay_trace_with_policy`] under the
+/// noop policy.
 pub fn replay_trace_observed(
     dev: &mut dyn BlockDevice,
     trace: &Trace,
     mode: ReplayMode,
-    sink: &uflip_obs::SinkHandle,
+    sink: &SinkHandle,
 ) -> Result<RunResult> {
-    dev.set_sink(sink.clone());
-    if !sink.is_enabled() {
-        return replay_trace(dev, trace, mode);
-    }
-    let before = crate::observe::counters_now(sink);
-    let run = replay_trace(dev, trace, mode)?;
-    for (rec, rt) in trace.records.iter().zip(&run.rts) {
-        let class = match rec.op {
-            Mode::Read => uflip_obs::LatencyClass::Read,
-            Mode::Write => uflip_obs::LatencyClass::Write,
-        };
-        sink.latency(class, rt.as_nanos() as u64);
-    }
-    crate::observe::emit_workload_delta(sink, &run.label, &before);
-    Ok(run)
+    replay_trace_with_policy(dev, trace, mode, &IoPolicy::none(), sink)
 }
 
-/// Observed [`replay_trace`] under an [`IoPolicy`]: transient faults
-/// met during submission are retried with backoff, timeouts and
-/// exhaustions are counted, and a degrading policy lets the replay
-/// survive unservable IOs. With the noop policy this is exactly
-/// [`replay_trace_observed`].
+/// Replay a trace under an [`IoPolicy`], observed by `sink`.
 ///
-/// The policy-aware queued path submits per IO (no
-/// [`uflip_device::IoQueue::submit_batch`] fast path): each submission
-/// is a fault-injection point and needs individual retry handling.
+/// The sink is attached to the device for the duration of the call and
+/// the null sink re-attached before returning, on success and on
+/// error. Each IO's response time is recorded under the latency class
+/// of its *recorded op* (reads and writes land in separate histograms,
+/// unlike the single-class pattern executors), and the replay's counter
+/// delta is emitted as a [`uflip_obs::WorkloadMetrics`] record.
+/// Transient faults met during submission are retried with backoff,
+/// timeouts and exhaustions are counted, and a degrading policy lets
+/// the replay survive unservable IOs.
 pub fn replay_trace_with_policy(
     dev: &mut dyn BlockDevice,
     trace: &Trace,
     mode: ReplayMode,
     io_policy: &IoPolicy,
-    sink: &uflip_obs::SinkHandle,
+    sink: &SinkHandle,
 ) -> Result<RunResult> {
-    if io_policy.is_noop() {
-        return replay_trace_observed(dev, trace, mode, sink);
-    }
     dev.set_sink(sink.clone());
-    let enabled = sink.is_enabled();
+    let run = replay(dev, trace, mode, io_policy, sink);
+    dev.set_sink(SinkHandle::null());
+    run
+}
+
+/// The replay behind every entry point: pick the loop for the device
+/// and policy, then record the observation. Leaves the device's sink
+/// alone.
+fn replay(
+    dev: &mut dyn BlockDevice,
+    trace: &Trace,
+    mode: ReplayMode,
+    io_policy: &IoPolicy,
+    sink: &SinkHandle,
+) -> Result<RunResult> {
     let label = format!("replay({},{})", trace.label, mode.code());
-    if trace.is_empty() {
-        return Ok(RunResult::new(label, Vec::new(), 0, Duration::ZERO));
-    }
-    assert!(
-        trace.is_time_ordered(),
-        "replay requires submit-ordered records; call Trace::sort_by_submit first"
-    );
-    let before = enabled.then(|| crate::observe::counters_now(sink));
-    let queued = dev.io_queue().is_some();
-    let run = match (mode, queued) {
-        (ReplayMode::TimingFaithful, true) => {
-            let depth = trace.max_queue_depth().max(1);
-            replay_queued_with_policy(dev, trace, label, depth, true, io_policy, sink, enabled)
-        }
-        (ReplayMode::OpenLoop { queue_depth }, true) => replay_queued_with_policy(
-            dev,
-            trace,
-            label,
-            queue_depth.max(1),
-            false,
-            io_policy,
-            sink,
-            enabled,
-        ),
-        (_, false) => replay_serial_with_policy(dev, trace, label, mode, io_policy, sink, enabled),
-    }?;
-    if enabled {
+    let enabled = sink.is_enabled();
+    let before = enabled.then(|| observe::counters_now(sink));
+    let run = if trace.is_empty() {
+        RunResult::new(label, Vec::new(), 0, Duration::ZERO)
+    } else {
+        assert!(
+            trace.is_time_ordered(),
+            "replay requires submit-ordered records; call Trace::sort_by_submit first"
+        );
+        match (mode, dev.io_queue().is_some()) {
+            (ReplayMode::OpenLoop { queue_depth }, true) if io_policy.is_noop() => {
+                replay_open_batched(dev, trace, label, queue_depth.max(1))
+            }
+            (ReplayMode::TimingFaithful, true) => {
+                let depth = trace.max_queue_depth().max(1);
+                replay_queued(dev, trace, label, depth, true, io_policy, sink)
+            }
+            (ReplayMode::OpenLoop { queue_depth }, true) => replay_queued(
+                dev,
+                trace,
+                label,
+                queue_depth.max(1),
+                false,
+                io_policy,
+                sink,
+            ),
+            (_, false) => replay_serial(dev, trace, label, mode, io_policy, sink),
+        }?
+    };
+    if let Some(before) = &before {
         for (rec, rt) in trace.records.iter().zip(&run.rts) {
             let class = match rec.op {
                 Mode::Read => uflip_obs::LatencyClass::Read,
@@ -183,28 +167,43 @@ pub fn replay_trace_with_policy(
             };
             sink.latency(class, rt.as_nanos() as u64);
         }
-        if let Some(before) = &before {
-            crate::observe::emit_workload_delta(sink, &run.label, before);
-        }
+        observe::emit_workload_delta(sink, &run.label, before);
     }
     Ok(run)
 }
 
-/// The policy-aware twin of [`replay_queued`]: one per-record loop
-/// serves both modes (faithful targets the recorded schedule,
-/// open-loop targets the running cursor), with submissions mediated by
-/// [`policy::submit_with_policy`].
-#[allow(clippy::too_many_arguments)]
-fn replay_queued_with_policy(
+/// Leave the device usable after a failed submission: drain what is in
+/// flight and restore its own depth, then hand back the error to report
+/// (e.g. a trace captured on a larger device replayed past this one's
+/// capacity).
+fn abandon(queue: &mut dyn IoQueue, device_depth: u32, e: DeviceError) -> DeviceError {
+    while queue.poll().is_some() {}
+    if queue.queue_depth() != device_depth {
+        // uflip-lint: allow(UF030, reason = "error path: the primary error outranks a failed depth restore")
+        let _ = queue.set_queue_depth(device_depth);
+    }
+    e
+}
+
+/// Queued replay, one record at a time, for both modes and every
+/// policy. In faithful mode each IO targets its recorded offset from
+/// the start of the replay; in open-loop mode it targets the running
+/// cursor, the earliest instant admission permits. Submissions are
+/// mediated by [`policy::submit_with_policy`] and stay non-decreasing
+/// in virtual time — the queue contract — because record order,
+/// completion times and the running cursor are all monotone; the
+/// cursor advances to each submission's *effective* instant, so a
+/// retried IO's backoff holds back every later record too.
+fn replay_queued(
     dev: &mut dyn BlockDevice,
     trace: &Trace,
     label: String,
     depth: u32,
     faithful: bool,
     io_policy: &IoPolicy,
-    sink: &uflip_obs::SinkHandle,
-    enabled: bool,
+    sink: &SinkHandle,
 ) -> Result<RunResult> {
+    let enabled = sink.is_enabled();
     let mut rng = io_policy.jitter_seed;
     let base = dev.now();
     let queue = dev
@@ -215,20 +214,14 @@ fn replay_queued_with_policy(
     let t0 = trace.records[0].submit_ns;
     let n = trace.records.len();
     let mut rts = vec![Duration::ZERO; n];
+    // (record index, intended submission time) per in-flight IO.
     let mut inflight: TokenSlab<(usize, Duration)> = TokenSlab::new();
     let mut retired: Vec<(Token, Duration)> = Vec::with_capacity(depth as usize + 1);
     let mut last_completion = base;
+    // Earliest time the next submission may carry (keeps `at`
+    // monotone once back-pressure or a retry pushes past the recorded
+    // schedule).
     let mut cursor = base;
-    macro_rules! bail {
-        ($queue:ident, $e:expr) => {{
-            while $queue.poll().is_some() {}
-            if $queue.queue_depth() != device_depth {
-                // uflip-lint: allow(UF030, reason = "error path: the primary error outranks a failed depth restore")
-                let _ = $queue.set_queue_depth(device_depth);
-            }
-            return Err($e);
-        }};
-    }
     for (i, rec) in trace.records.iter().enumerate() {
         let target = if faithful {
             base + Duration::from_nanos(rec.submit_ns - t0)
@@ -236,6 +229,8 @@ fn replay_queued_with_policy(
             cursor
         };
         if faithful {
+            // Retire completions that precede this submission; they
+            // also keep idle-gap accounting exact.
             queue.poll_upto(target, &mut retired);
             for &(token, completion) in &retired {
                 book(&mut inflight, &mut rts, token, completion);
@@ -247,9 +242,9 @@ fn replay_queued_with_policy(
         let mut at = target.max(cursor);
         loop {
             match policy::submit_with_policy(queue, &io, at, io_policy, &mut rng, sink, enabled) {
-                Ok(SubmitOutcome::Submitted(token)) => {
+                Ok(SubmitOutcome::Submitted(token, effective)) => {
                     inflight.insert(token, (i, target));
-                    cursor = at;
+                    cursor = effective;
                     break;
                 }
                 Ok(SubmitOutcome::Full) => {
@@ -262,13 +257,14 @@ fn replay_queued_with_policy(
                 }
                 Ok(SubmitOutcome::Degraded(waited)) => {
                     // The IO never reached the device; its response
-                    // time is the backoff spent on it.
+                    // time is the backoff spent on it, and its last
+                    // attempt was made at `at + waited`.
                     rts[i] = waited;
-                    cursor = at;
-                    last_completion = last_completion.max(at + waited);
+                    cursor = at + waited;
+                    last_completion = last_completion.max(cursor);
                     break;
                 }
-                Err(e) => bail!(queue, e),
+                Err(e) => return Err(abandon(queue, device_depth, e)),
             }
         }
     }
@@ -287,59 +283,19 @@ fn replay_queued_with_policy(
     Ok(RunResult::new(label, rts, 0, last_completion - base))
 }
 
-/// The policy-aware serial fallback, both modes.
-fn replay_serial_with_policy(
-    dev: &mut dyn BlockDevice,
-    trace: &Trace,
-    label: String,
-    mode: ReplayMode,
-    io_policy: &IoPolicy,
-    sink: &uflip_obs::SinkHandle,
-    enabled: bool,
-) -> Result<RunResult> {
-    let mut rng = io_policy.jitter_seed;
-    let base = dev.now();
-    let t0 = trace.records[0].submit_ns;
-    let faithful = mode == ReplayMode::TimingFaithful;
-    let mut rts = Vec::with_capacity(trace.len());
-    for (i, rec) in trace.records.iter().enumerate() {
-        let io = rec.io_request(i as u64);
-        if faithful {
-            let target = base + Duration::from_nanos(rec.submit_ns - t0);
-            let now = dev.now();
-            if now < target {
-                dev.idle(target - now);
-            }
-            policy::issue_with_policy(dev, &io, io_policy, &mut rng, sink, enabled)?;
-            rts.push(dev.now() - target);
-        } else {
-            rts.push(policy::issue_with_policy(
-                dev, &io, io_policy, &mut rng, sink, enabled,
-            )?);
-        }
-    }
-    Ok(RunResult::new(label, rts, 0, dev.now() - base))
-}
-
-/// Queued replay: one event loop serves both modes. In faithful mode
-/// each IO targets its recorded offset from the start of the replay;
-/// in open-loop mode it targets the earliest instant admission
-/// permits. Submissions stay non-decreasing in virtual time — the
-/// queue contract — because record order, completion times and the
-/// running cursor are all monotone.
-///
-/// Open-loop replay is the engine's fast path: every record in a wave
-/// shares the same submission instant (the cursor), so waves go down
-/// through [`IoQueue::submit_batch`] — one virtual dispatch per wave —
-/// and completions come back through [`IoQueue::poll_upto`] and the
-/// final drain. Per-IO state lives in a [`TokenSlab`] (O(1) retire;
-/// the linear in-flight scan it replaced made deep queues quadratic).
-fn replay_queued(
+/// Open-loop queued replay under the noop policy: the engine's fast
+/// path. Every record in a wave shares the same submission instant
+/// (the cursor), so waves go down through [`IoQueue::submit_batch`] —
+/// one virtual dispatch per wave — and completions come back through
+/// back-pressure polls and the final drain. Per-IO state lives in a
+/// [`TokenSlab`] (O(1) retire; the linear in-flight scan it replaced
+/// made deep queues quadratic). It makes the same device calls, in the
+/// same virtual-time order, as [`replay_queued`] under the noop policy.
+fn replay_open_batched(
     dev: &mut dyn BlockDevice,
     trace: &Trace,
     label: String,
     depth: u32,
-    faithful: bool,
 ) -> Result<RunResult> {
     let base = dev.now();
     let queue = dev
@@ -347,112 +303,58 @@ fn replay_queued(
         .ok_or(DeviceError::Internal("device lost its queue mid-replay"))?;
     let device_depth = queue.queue_depth();
     queue.set_queue_depth(depth)?;
-    let t0 = trace.records[0].submit_ns;
     let n = trace.records.len();
     let mut rts = vec![Duration::ZERO; n];
-    // (record index, intended submission time) per in-flight IO.
     let mut inflight: TokenSlab<(usize, Duration)> = TokenSlab::new();
-    let mut retired: Vec<(Token, Duration)> = Vec::with_capacity(depth as usize + 1);
     let mut last_completion = base;
-    // Earliest time the next submission may carry (keeps `at`
-    // monotone once back-pressure pushes past the recorded schedule).
     let mut cursor = base;
-    // Leave the device usable on error: drain what is in flight and
-    // restore its own depth before reporting the bad record (e.g. a
-    // trace captured on a larger device replayed past this one's
-    // capacity).
-    macro_rules! bail {
-        ($queue:ident, $e:expr) => {{
-            while $queue.poll().is_some() {}
-            if $queue.queue_depth() != device_depth {
-                // uflip-lint: allow(UF030, reason = "error path: the primary error outranks a failed depth restore")
-                let _ = $queue.set_queue_depth(device_depth);
+    // Waves of records submitted back-to-back at the cursor. Deferring
+    // retires to the back-pressure point changes nothing observable —
+    // retiring has no device side effects, a submission at the cursor
+    // never opens an idle gap (scheduled completions always run past
+    // it), and response times index a slab, not an ordering.
+    const WAVE: usize = 64;
+    let mut ios: Vec<IoRequest> = Vec::with_capacity(WAVE.min(n));
+    let mut tokens: Vec<Token> = Vec::with_capacity(WAVE.min(n));
+    let mut i = 0usize;
+    while i < n {
+        let end = (i + WAVE).min(n);
+        ios.clear();
+        for (k, rec) in trace.records[i..end].iter().enumerate() {
+            ios.push(rec.io_request((i + k) as u64));
+        }
+        let mut off = 0usize;
+        // A record's *intended* submission is the cursor when its turn
+        // begins — before any back-pressure poll taken on its behalf
+        // bumps the cursor. Only the first record of a post-poll batch
+        // can differ (its turn began earlier).
+        let mut turn_start = cursor;
+        while off < ios.len() {
+            tokens.clear();
+            let accepted = match queue.submit_batch(&ios[off..], cursor, &mut tokens) {
+                Ok(a) => a,
+                Err(e) => return Err(abandon(queue, device_depth, e)),
+            };
+            for (k, &token) in tokens.iter().enumerate() {
+                let intended = if k == 0 { turn_start } else { cursor };
+                inflight.insert(token, (i + off + k, intended));
             }
-            return Err($e);
-        }};
-    }
-    if faithful {
-        for (i, rec) in trace.records.iter().enumerate() {
-            let target = base + Duration::from_nanos(rec.submit_ns - t0);
-            // Retire completions that precede this submission; they
-            // also keep idle-gap accounting exact.
-            queue.poll_upto(target, &mut retired);
-            for &(token, completion) in &retired {
+            off += accepted;
+            if accepted > 0 {
+                turn_start = cursor;
+            }
+            if off < ios.len() {
+                // Back-pressure: retire one completion; the cursor may
+                // not precede it.
+                let (token, completion) = queue
+                    .poll()
+                    .ok_or(DeviceError::Internal("full queue with nothing to poll"))?;
                 book(&mut inflight, &mut rts, token, completion);
                 last_completion = last_completion.max(completion);
-            }
-            retired.clear();
-            let io = rec.io_request(i as u64);
-            let mut at = target.max(cursor);
-            loop {
-                match queue.submit(&io, at) {
-                    Ok(token) => {
-                        inflight.insert(token, (i, target));
-                        cursor = at;
-                        break;
-                    }
-                    Err(DeviceError::QueueFull { .. }) => {
-                        let (token, completion) = queue
-                            .poll()
-                            .ok_or(DeviceError::Internal("full queue with nothing to poll"))?;
-                        book(&mut inflight, &mut rts, token, completion);
-                        last_completion = last_completion.max(completion);
-                        at = at.max(completion);
-                    }
-                    Err(e) => bail!(queue, e),
-                }
+                cursor = cursor.max(completion);
             }
         }
-    } else {
-        // Open loop: waves of records submitted back-to-back at the
-        // cursor. Deferring retires to the back-pressure point changes
-        // nothing observable — retiring has no device side effects, a
-        // submission at the cursor never opens an idle gap (scheduled
-        // completions always run past it), and response times index a
-        // slab, not an ordering.
-        const WAVE: usize = 64;
-        let mut ios: Vec<IoRequest> = Vec::with_capacity(WAVE.min(n));
-        let mut tokens: Vec<Token> = Vec::with_capacity(WAVE.min(n));
-        let mut i = 0usize;
-        while i < n {
-            let end = (i + WAVE).min(n);
-            ios.clear();
-            for (k, rec) in trace.records[i..end].iter().enumerate() {
-                ios.push(rec.io_request((i + k) as u64));
-            }
-            let mut off = 0usize;
-            // A record's *intended* submission is the cursor when its
-            // turn begins — before any back-pressure poll taken on its
-            // behalf bumps the cursor. Only the first record of a
-            // post-poll batch can differ (its turn began earlier).
-            let mut turn_start = cursor;
-            while off < ios.len() {
-                tokens.clear();
-                let accepted = match queue.submit_batch(&ios[off..], cursor, &mut tokens) {
-                    Ok(a) => a,
-                    Err(e) => bail!(queue, e),
-                };
-                for (k, &token) in tokens.iter().enumerate() {
-                    let intended = if k == 0 { turn_start } else { cursor };
-                    inflight.insert(token, (i + off + k, intended));
-                }
-                off += accepted;
-                if accepted > 0 {
-                    turn_start = cursor;
-                }
-                if off < ios.len() {
-                    // Back-pressure: retire one completion; the cursor
-                    // may not precede it.
-                    let (token, completion) = queue
-                        .poll()
-                        .ok_or(DeviceError::Internal("full queue with nothing to poll"))?;
-                    book(&mut inflight, &mut rts, token, completion);
-                    last_completion = last_completion.max(completion);
-                    cursor = cursor.max(completion);
-                }
-            }
-            i = end;
-        }
+        i = end;
     }
     while let Some((token, completion)) = queue.poll() {
         book(&mut inflight, &mut rts, token, completion);
@@ -476,52 +378,43 @@ fn book(
     rts[seq] = completion - intended;
 }
 
-/// Faithful replay on a synchronous backend: idle out the recorded
-/// gaps, issue one IO at a time.
-fn replay_faithful_serial(
+/// Replay on a synchronous backend, both modes: faithful mode idles
+/// out the recorded gaps, open-loop issues back to back; one IO at a
+/// time, under the policy.
+fn replay_serial(
     dev: &mut dyn BlockDevice,
     trace: &Trace,
     label: String,
+    mode: ReplayMode,
+    io_policy: &IoPolicy,
+    sink: &SinkHandle,
 ) -> Result<RunResult> {
+    let enabled = sink.is_enabled();
+    let mut rng = io_policy.jitter_seed;
     let base = dev.now();
     let t0 = trace.records[0].submit_ns;
+    let faithful = mode == ReplayMode::TimingFaithful;
     let mut rts = Vec::with_capacity(trace.len());
     for (i, rec) in trace.records.iter().enumerate() {
-        let target = base + Duration::from_nanos(rec.submit_ns - t0);
-        let now = dev.now();
-        if now < target {
-            dev.idle(target - now);
+        let io = rec.io_request(i as u64);
+        if faithful {
+            let target = base + Duration::from_nanos(rec.submit_ns - t0);
+            let now = dev.now();
+            if now < target {
+                dev.idle(target - now);
+            }
+            policy::issue_with_policy(dev, &io, io_policy, &mut rng, sink, enabled)?;
+            // Completion − intended submission: includes time the
+            // device spent behind schedule, as a host thread would
+            // measure.
+            rts.push(dev.now() - target);
+        } else {
+            rts.push(policy::issue_with_policy(
+                dev, &io, io_policy, &mut rng, sink, enabled,
+            )?);
         }
-        let io = rec.io_request(i as u64);
-        issue(dev, io.mode, io.offset, io.size)?;
-        // Completion − intended submission: includes time the device
-        // spent behind schedule, as a host thread would measure.
-        let completion = dev.now();
-        rts.push(completion - target);
     }
     Ok(RunResult::new(label, rts, 0, dev.now() - base))
-}
-
-/// Open-loop replay on a synchronous backend: back-to-back issue.
-fn replay_open_serial(
-    dev: &mut dyn BlockDevice,
-    trace: &Trace,
-    label: String,
-) -> Result<RunResult> {
-    let base = dev.now();
-    let mut rts = Vec::with_capacity(trace.len());
-    for (i, rec) in trace.records.iter().enumerate() {
-        let io = rec.io_request(i as u64);
-        rts.push(issue(dev, io.mode, io.offset, io.size)?);
-    }
-    Ok(RunResult::new(label, rts, 0, dev.now() - base))
-}
-
-fn issue(dev: &mut dyn BlockDevice, mode: Mode, offset: u64, size: u64) -> Result<Duration> {
-    match mode {
-        Mode::Read => dev.read(offset, size),
-        Mode::Write => dev.write(offset, size),
-    }
 }
 
 #[cfg(test)]

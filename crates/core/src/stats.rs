@@ -105,97 +105,6 @@ impl RunStats {
     }
 }
 
-/// Streaming (constant-memory) [`RunStats`] builder for runs too large
-/// to keep a response-time vector around — million-IO trace replays,
-/// long soak runs.
-///
-/// Count, min, max, mean, total and standard deviation are **exact**:
-/// they stream through integer accumulators (the stddev uses the
-/// sum-of-squares identity around the same rounded integer mean
-/// [`RunStats::from_rts`] uses, so it reproduces the exact path
-/// bit-for-bit). Median/p95/p99 come from a log-bucketed
-/// [`uflip_obs::LatencyHistogram`] and are **approximate**: each
-/// quantile lands within one sub-bucket width (≲ 1/16 ≈ 6.25%
-/// relative) of the exact order statistic. The exact
-/// [`RunStats::from_rts`] stays the default everywhere a full `rts`
-/// vector already exists.
-#[derive(Debug, Default)]
-pub struct StreamingStats {
-    count: u64,
-    min_ns: u64,
-    max_ns: u64,
-    sum_ns: u128,
-    sum_sq: u128,
-    hist: uflip_obs::LatencyHistogram,
-}
-
-impl StreamingStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        StreamingStats {
-            count: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-            sum_ns: 0,
-            sum_sq: 0,
-            hist: uflip_obs::LatencyHistogram::new(),
-        }
-    }
-
-    /// Record one response time.
-    pub fn record(&mut self, rt: Duration) {
-        self.record_ns(rt.as_nanos() as u64);
-    }
-
-    /// Record one response time in nanoseconds.
-    pub fn record_ns(&mut self, ns: u64) {
-        self.count += 1;
-        self.min_ns = self.min_ns.min(ns);
-        self.max_ns = self.max_ns.max(ns);
-        self.sum_ns += ns as u128;
-        self.sum_sq += (ns as u128) * (ns as u128);
-        self.hist.record(ns);
-    }
-
-    /// Response times recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The underlying latency histogram (e.g. to merge into a
-    /// `uflip_obs::Metrics` snapshot or render a distribution plot).
-    pub fn histogram(&self) -> &uflip_obs::LatencyHistogram {
-        &self.hist
-    }
-
-    /// Finish into a [`RunStats`]. Returns `None` when nothing was
-    /// recorded, mirroring [`RunStats::from_rts`] on an empty slice.
-    pub fn finish(&self) -> Option<RunStats> {
-        if self.count == 0 {
-            return None;
-        }
-        let n = self.count as u128;
-        let mean = ((self.sum_ns + n / 2) / n) as u64;
-        // Σ(x − mean)² = Σx² − 2·mean·Σx + n·mean², exact in integers
-        // around the same rounded mean the batch path subtracts.
-        let var = (self.sum_sq as i128 - 2 * mean as i128 * self.sum_ns as i128
-            + n as i128 * (mean as i128) * (mean as i128))
-            / n as i128;
-        let stddev = (var.max(0) as f64).sqrt().round() as u64;
-        Some(RunStats {
-            count: self.count,
-            min: Duration::from_nanos(self.min_ns),
-            max: Duration::from_nanos(self.max_ns),
-            mean: Duration::from_nanos(mean),
-            stddev: Duration::from_nanos(stddev),
-            median: Duration::from_nanos(self.hist.quantile(0.5)),
-            p95: Duration::from_nanos(self.hist.quantile(0.95)),
-            p99: Duration::from_nanos(self.hist.quantile(0.99)),
-            total: Duration::from_nanos(self.sum_ns as u64),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,54 +201,5 @@ mod tests {
         let s = RunStats::from_rts(&[ms(1), ms(10)]).unwrap();
         assert!((s.spread() - 10.0).abs() < 1e-9);
         assert!(s.cv() > 0.0);
-    }
-
-    #[test]
-    fn streaming_empty_has_no_stats() {
-        assert!(StreamingStats::new().finish().is_none());
-        assert_eq!(StreamingStats::default().count(), 0);
-    }
-
-    #[test]
-    fn streaming_exact_fields_match_batch_path() {
-        let rts: Vec<Duration> = (1..=100)
-            .map(|i| Duration::from_nanos(i * 997 + 13))
-            .collect();
-        let exact = RunStats::from_rts(&rts).unwrap();
-        let mut s = StreamingStats::new();
-        for rt in &rts {
-            s.record(*rt);
-        }
-        let stream = s.finish().unwrap();
-        assert_eq!(stream.count, exact.count);
-        assert_eq!(stream.min, exact.min);
-        assert_eq!(stream.max, exact.max);
-        assert_eq!(stream.mean, exact.mean);
-        assert_eq!(stream.stddev, exact.stddev, "sum-of-squares identity");
-        assert_eq!(stream.total, exact.total);
-    }
-
-    #[test]
-    fn streaming_percentiles_land_within_one_bucket() {
-        let rts: Vec<Duration> = (1..=1000).map(|i| Duration::from_nanos(i * 731)).collect();
-        let exact = RunStats::from_rts(&rts).unwrap();
-        let mut s = StreamingStats::new();
-        for rt in &rts {
-            s.record(*rt);
-        }
-        let stream = s.finish().unwrap();
-        for (approx, truth) in [
-            (stream.median, exact.median),
-            (stream.p95, exact.p95),
-            (stream.p99, exact.p99),
-        ] {
-            let width = uflip_obs::bucket_width_at(truth.as_nanos() as u64).max(1);
-            let diff = approx.as_nanos().abs_diff(truth.as_nanos());
-            assert!(
-                diff <= width as u128,
-                "approx {approx:?} vs exact {truth:?} (bucket width {width})"
-            );
-        }
-        assert_eq!(s.histogram().count(), 1000);
     }
 }

@@ -15,11 +15,12 @@ use crate::micro::{
     alignment, bursts, granularity, locality, mix, order, parallelism, partitioning, pause,
     MicroConfig,
 };
-use crate::run::RunResult;
+use crate::policy::IoPolicy;
 use crate::stats::RunStats;
 use crate::Result;
 use std::time::Duration;
 use uflip_device::{BlockDevice, DeviceError};
+use uflip_obs::SinkHandle;
 
 /// All nine micro-benchmarks under one configuration, in the paper's
 /// presentation order (location parameters, then parallel/mixed, then
@@ -63,16 +64,24 @@ pub struct SuiteOptions {
     /// random writes through the full FTL (the dominant cost of
     /// `execute_plan` on simulated devices; 5 hours to 35 days on the
     /// paper's hardware). Devices without snapshot support fall back
-    /// to re-enforcement. Also a precondition for
-    /// [`execute_plan_sharded`]: restored resets make the plan's
+    /// to re-enforcement. Also a precondition for sharded execution
+    /// (see [`SuiteOptions::threads`]): restored resets make the plan's
     /// reset-delimited segments independent.
     pub snapshot_resets: bool,
     /// IO policy applied to every workload run: transient device
     /// faults (e.g. injected by [`uflip_device::FaultyDevice`]) are
-    /// retried with backoff instead of aborting the plan. `None`
-    /// (the default) keeps the plain executors — bit-identical to the
-    /// pre-policy behaviour.
-    pub io_policy: Option<crate::policy::IoPolicy>,
+    /// retried with backoff instead of aborting the plan. The default,
+    /// [`IoPolicy::none`], is bit-identical to the pre-policy
+    /// behaviour.
+    pub io_policy: IoPolicy,
+    /// Worker threads for the plan: 1 (the default) runs it serially
+    /// on the device; more shard its reset-delimited segments across
+    /// up to that many OS threads, each on a fork of the enforced
+    /// state; 0 means one per available CPU. Sharding needs state
+    /// enforcement with snapshot resets on a snapshot-capable, forkable
+    /// device and a plan with resets; otherwise the plan runs serially.
+    /// The [`SuiteResult`] is bit-identical either way.
+    pub threads: usize,
 }
 
 impl Default for SuiteOptions {
@@ -83,7 +92,8 @@ impl Default for SuiteOptions {
             state_coverage: 2.0,
             seed: 0xF11B,
             snapshot_resets: true,
-            io_policy: None,
+            io_policy: IoPolicy::none(),
+            threads: 1,
         }
     }
 }
@@ -151,25 +161,24 @@ fn enforce_and_settle(dev: &mut dyn BlockDevice, opts: &SuiteOptions) -> Result<
 
 /// Execute one contiguous slice of plan steps (no [`PlanStep::
 /// ResetState`] inside) — the shared inner loop of the serial and
-/// sharded executors.
+/// sharded paths.
 ///
 /// With an enabled sink, each run's running-phase response times are
 /// recorded under the workload's latency class. `per_run_deltas`
 /// additionally brackets every run with a counter snapshot and emits
 /// the delta as a [`uflip_obs::WorkloadMetrics`] record; the sharded
-/// executor turns this off because concurrent segments would bleed
-/// into each other's deltas (the global counters, histograms and
-/// channel samples stay exact — they are sums, not differences).
+/// path turns this off because concurrent segments would bleed into
+/// each other's deltas (the global counters, histograms and channel
+/// samples stay exact — they are sums, not differences).
 fn execute_steps(
     dev: &mut dyn BlockDevice,
     plan: &BenchmarkPlan,
     opts: &SuiteOptions,
     steps: &[PlanStep],
     points: &mut Vec<SuitePointResult>,
-    sink: &uflip_obs::SinkHandle,
+    sink: &SinkHandle,
     per_run_deltas: bool,
 ) -> Result<()> {
-    let observed = sink.is_enabled();
     for step in steps {
         match step {
             PlanStep::Pause => dev.idle(opts.inter_run_pause),
@@ -186,18 +195,7 @@ fn execute_steps(
                 let e = &plan.experiments[*experiment];
                 let p = &e.points[*point];
                 let workload = p.workload.relocated(*offset);
-                let before =
-                    (observed && per_run_deltas).then(|| crate::observe::counters_now(sink));
-                let run: RunResult = match &opts.io_policy {
-                    Some(policy) => workload.execute_with_policy(dev, policy, sink)?,
-                    None => workload.execute(dev)?,
-                };
-                if observed {
-                    crate::observe::record_run_latencies(sink, workload.latency_class(), &run);
-                    if let Some(before) = &before {
-                        crate::observe::emit_workload_delta(sink, &workload.label(), before);
-                    }
-                }
+                let run = workload.measure(dev, &opts.io_policy, sink, per_run_deltas)?;
                 points.push(SuitePointResult {
                     experiment: e.name.clone(),
                     varying: e.varying,
@@ -239,27 +237,90 @@ fn plan_segments(plan: &BenchmarkPlan) -> Vec<std::ops::Range<usize>> {
 /// enforcement and the per-segment device time. Devices without
 /// snapshot support (and runs with `snapshot_resets` off) re-simulate
 /// the enforcement at every reset, the paper-literal behaviour.
+/// [`SuiteOptions::threads`] selects serial or sharded execution.
+///
+/// Whatever sink the device carries stays attached and keeps
+/// receiving the layers' counters; per-run latencies and deltas need
+/// [`execute_plan_observed`].
 pub fn execute_plan(
     dev: &mut dyn BlockDevice,
     plan: &BenchmarkPlan,
     opts: &SuiteOptions,
 ) -> Result<SuiteResult> {
-    execute_plan_observed(dev, plan, opts, &uflip_obs::SinkHandle::null())
+    run_plan(dev, plan, opts, &SinkHandle::null())
 }
 
-/// Observed [`execute_plan`]: attach `sink` to the device before the
-/// plan runs, so state enforcement and every workload feed its
-/// counters, histograms and channel samples; each run additionally
-/// emits a per-workload [`uflip_obs::WorkloadMetrics`] delta (write
-/// amplification, host vs flash bytes). With a null sink this is
-/// exactly [`execute_plan`].
+/// Observed [`execute_plan`]: `sink` is attached to the device for the
+/// duration of the call (the null sink is re-attached before
+/// returning, on success and on error), so state enforcement and
+/// every workload feed its counters, histograms and channel samples.
+/// Each run's running-phase response times are recorded under its
+/// workload's latency class, and a serial run additionally emits a
+/// per-workload [`uflip_obs::WorkloadMetrics`] delta (write
+/// amplification, host vs flash bytes). Sharded execution aggregates
+/// counters, histograms and channel samples across all segments
+/// (sharded sinks like `uflip_obs::Metrics` are thread-safe by
+/// construction) but emits no per-workload deltas — concurrent
+/// segments would bleed into each other's differences. The measured
+/// `SuiteResult` is the same either way.
 pub fn execute_plan_observed(
     dev: &mut dyn BlockDevice,
     plan: &BenchmarkPlan,
     opts: &SuiteOptions,
-    sink: &uflip_obs::SinkHandle,
+    sink: &SinkHandle,
 ) -> Result<SuiteResult> {
     dev.set_sink(sink.clone());
+    let result = run_plan(dev, plan, opts, sink);
+    dev.set_sink(SinkHandle::null());
+    result
+}
+
+/// Build the plan for a device and run the full suite, observed by
+/// `sink` (see [`execute_plan_observed`]; pass
+/// [`SinkHandle::null`] to observe nothing).
+pub fn run_full_suite(
+    dev: &mut dyn BlockDevice,
+    cfg: &MicroConfig,
+    opts: &SuiteOptions,
+    sink: &SinkHandle,
+) -> Result<(BenchmarkPlan, SuiteResult)> {
+    let plan = BenchmarkPlan::build(full_suite(cfg), dev.capacity_bytes());
+    let result = execute_plan_observed(dev, &plan, opts, sink)?;
+    Ok((plan, result))
+}
+
+/// The plan executor behind both entry points: shard when
+/// [`SuiteOptions::threads`] asks for more than one worker and the
+/// plan and device allow it, run serially otherwise. Leaves the
+/// device's sink alone.
+fn run_plan(
+    dev: &mut dyn BlockDevice,
+    plan: &BenchmarkPlan,
+    opts: &SuiteOptions,
+    sink: &SinkHandle,
+) -> Result<SuiteResult> {
+    let segments = plan_segments(plan);
+    let workers = if opts.threads == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        opts.threads
+    }
+    .min(segments.len());
+    let shardable = opts.enforce_state && opts.snapshot_resets && dev.snapshot_capable();
+    if workers > 1 && shardable {
+        execute_sharded(dev, plan, opts, &segments, workers, sink)
+    } else {
+        execute_serial(dev, plan, opts, sink)
+    }
+}
+
+/// Serial plan execution on the device itself.
+fn execute_serial(
+    dev: &mut dyn BlockDevice,
+    plan: &BenchmarkPlan,
+    opts: &SuiteOptions,
+    sink: &SinkHandle,
+) -> Result<SuiteResult> {
     let t0 = dev.now();
     if opts.enforce_state {
         enforce_and_settle(dev, opts)?;
@@ -328,67 +389,31 @@ pub fn execute_plan_observed(
     })
 }
 
-/// Execute a benchmark plan with its reset-delimited segments sharded
-/// across OS threads, each running on an independent clone of the
-/// enforced device state.
-///
-/// Requires state enforcement with snapshot resets on a device that
-/// supports [`uflip_device::BlockDevice::snapshot_state`] and
-/// [`uflip_device::BlockDevice::fork`]; every other case (including a
-/// plan without resets, which is a single segment) falls back to the
-/// serial [`execute_plan`], so this is always safe to call.
+/// Sharded plan execution: the reset-delimited segments run across
+/// `workers` OS threads, each on a fork of the enforced device state
+/// (forks carry the device's sink, so the layers below report to the
+/// same observer).
 ///
 /// Virtual time makes the decomposition exact: each segment starts
 /// from the same restored snapshot a serial execution would restore,
 /// so the merged [`SuiteResult`] — points in plan order, reset count,
 /// summed device time — is **bit-identical** to the serial path's
-/// (asserted in `tests/snapshot_parallel.rs`). `threads` caps the
-/// worker count; 0 means one per available CPU. The device itself is
+/// (asserted in `tests/snapshot_parallel.rs`). The device itself is
 /// left in the post-enforcement state.
-pub fn execute_plan_sharded(
+fn execute_sharded(
     dev: &mut dyn BlockDevice,
     plan: &BenchmarkPlan,
     opts: &SuiteOptions,
-    threads: usize,
+    segments: &[std::ops::Range<usize>],
+    workers: usize,
+    sink: &SinkHandle,
 ) -> Result<SuiteResult> {
-    execute_plan_sharded_observed(dev, plan, opts, threads, &uflip_obs::SinkHandle::null())
-}
-
-/// Observed [`execute_plan_sharded`]: the sink is attached to the
-/// enforcing device *and* to every worker fork, so counters,
-/// histograms and channel samples aggregate across all segments
-/// (sharded sinks like `uflip_obs::Metrics` are thread-safe by
-/// construction). Per-workload [`uflip_obs::WorkloadMetrics`] deltas
-/// are **not** emitted here — concurrent segments would bleed into
-/// each other's differences; use the serial [`execute_plan_observed`]
-/// when per-workload write amplification matters. The measured
-/// `SuiteResult` stays bit-identical to the serial path's.
-pub fn execute_plan_sharded_observed(
-    dev: &mut dyn BlockDevice,
-    plan: &BenchmarkPlan,
-    opts: &SuiteOptions,
-    threads: usize,
-    sink: &uflip_obs::SinkHandle,
-) -> Result<SuiteResult> {
-    let segments = plan_segments(plan);
-    let shardable =
-        opts.enforce_state && opts.snapshot_resets && segments.len() > 1 && dev.snapshot_capable();
-    if !shardable {
-        return execute_plan_observed(dev, plan, opts, sink);
-    }
-    dev.set_sink(sink.clone());
     let t0 = dev.now();
     enforce_and_settle(dev, opts)?;
     let base = dev.now();
     let snapshot = dev.snapshot_state().ok_or(DeviceError::Internal(
         "snapshot-capable device returned no snapshot",
     ))?;
-    let workers = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        threads
-    }
-    .clamp(1, segments.len());
     // Round-robin segment assignment; results are keyed by segment
     // index, so the merge order never depends on thread scheduling.
     type SegmentOutcome = (usize, Vec<SuitePointResult>, Duration);
@@ -397,9 +422,7 @@ pub fn execute_plan_sharded_observed(
             .map(|w| {
                 // uflip-lint: allow(UF002, UF031, reason = "fork precondition checked by the snapshot_state gate above; no Result plumbing inside thread::scope closures")
                 let mut fork = dev.fork().expect("snapshot_capable devices support fork");
-                fork.set_sink(sink.clone());
                 let state = snapshot.clone();
-                let segments = &segments;
                 let assigned: Vec<usize> = (w..segments.len()).step_by(workers).collect();
                 scope.spawn(move || -> Result<Vec<SegmentOutcome>> {
                     let mut out = Vec::with_capacity(assigned.len());
@@ -450,57 +473,6 @@ pub fn execute_plan_sharded_observed(
     })
 }
 
-/// Convenience: build the plan for a device and run the full suite.
-pub fn run_full_suite(
-    dev: &mut dyn BlockDevice,
-    cfg: &MicroConfig,
-    opts: &SuiteOptions,
-) -> Result<(BenchmarkPlan, SuiteResult)> {
-    let plan = BenchmarkPlan::build(full_suite(cfg), dev.capacity_bytes());
-    let result = execute_plan(dev, &plan, opts)?;
-    Ok((plan, result))
-}
-
-/// Convenience: [`run_full_suite`] with an observability sink attached
-/// (see [`execute_plan_observed`]).
-pub fn run_full_suite_observed(
-    dev: &mut dyn BlockDevice,
-    cfg: &MicroConfig,
-    opts: &SuiteOptions,
-    sink: &uflip_obs::SinkHandle,
-) -> Result<(BenchmarkPlan, SuiteResult)> {
-    let plan = BenchmarkPlan::build(full_suite(cfg), dev.capacity_bytes());
-    let result = execute_plan_observed(dev, &plan, opts, sink)?;
-    Ok((plan, result))
-}
-
-/// Convenience: build the plan for a device and run the full suite
-/// with reset-delimited segments sharded across `threads` workers
-/// (0 = one per CPU). See [`execute_plan_sharded`].
-pub fn run_full_suite_sharded(
-    dev: &mut dyn BlockDevice,
-    cfg: &MicroConfig,
-    opts: &SuiteOptions,
-    threads: usize,
-) -> Result<(BenchmarkPlan, SuiteResult)> {
-    run_full_suite_sharded_observed(dev, cfg, opts, threads, &uflip_obs::SinkHandle::null())
-}
-
-/// Convenience: [`run_full_suite_sharded`] with an observability sink
-/// attached (see [`execute_plan_sharded_observed`] for what sharded
-/// execution does and does not record).
-pub fn run_full_suite_sharded_observed(
-    dev: &mut dyn BlockDevice,
-    cfg: &MicroConfig,
-    opts: &SuiteOptions,
-    threads: usize,
-    sink: &uflip_obs::SinkHandle,
-) -> Result<(BenchmarkPlan, SuiteResult)> {
-    let plan = BenchmarkPlan::build(full_suite(cfg), dev.capacity_bytes());
-    let result = execute_plan_sharded_observed(dev, &plan, opts, threads, sink)?;
-    Ok((plan, result))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,7 +520,8 @@ mod tests {
             enforce_state: false,
             ..Default::default()
         };
-        let (plan, result) = run_full_suite(&mut dev, &cfg, &opts).expect("suite");
+        let (plan, result) =
+            run_full_suite(&mut dev, &cfg, &opts, &SinkHandle::null()).expect("suite");
         assert_eq!(result.points.len(), plan.run_count());
         assert!(result.points.iter().all(|p| p.stats.is_some()));
         assert!(result.device_time > Duration::ZERO);
@@ -563,7 +536,8 @@ mod tests {
             enforce_state: false,
             ..Default::default()
         };
-        let (_, result) = run_full_suite(&mut dev, &cfg, &opts).expect("suite");
+        let (_, result) =
+            run_full_suite(&mut dev, &cfg, &opts, &SinkHandle::null()).expect("suite");
         let series = result.mean_series("granularity/SW");
         assert!(!series.is_empty());
         assert!(series.windows(2).all(|w| w[0].0 <= w[1].0));
@@ -583,7 +557,7 @@ mod tests {
             ..Default::default()
         };
         let before = dev.writes();
-        let _ = run_full_suite(&mut dev, &cfg, &opts).expect("suite");
+        let _ = run_full_suite(&mut dev, &cfg, &opts, &SinkHandle::null()).expect("suite");
         assert!(
             dev.writes() > before,
             "enforcement + workload writes happened"

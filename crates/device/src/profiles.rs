@@ -428,7 +428,7 @@ pub mod catalog {
             stride_quirk: Some(StrideQuirk {
                 // BAST serves strided and random writes identically, but
                 // the real device degrades ×2 (Table 3) — a black-box
-                // calibration (see DESIGN.md §4).
+                // calibration (see `StrideQuirk`).
                 min_stride: 512 * 1024,
                 trigger_after: 3,
                 factor: 2.0,
@@ -817,9 +817,8 @@ mod tests {
     #[test]
     fn ftl_families_match_device_classes() {
         // High-end SSDs are hybrid-mapped with a fully-associative log
-        // pool (see DESIGN.md §4: a page-mapped model cannot keep
-        // sequential writes at raw speed after random aging, which the
-        // real devices do).
+        // pool: a page-mapped model cannot keep sequential writes at
+        // raw speed after random aging, which the real devices do.
         assert_eq!(catalog::memoright().ftl_family(), "hybrid-log");
         assert_eq!(catalog::mtron().ftl_family(), "hybrid-log");
         assert_eq!(catalog::samsung().ftl_family(), "hybrid-log");

@@ -111,7 +111,7 @@ impl ControllerConfig {
 /// behaviour without a mechanism; we model it as the controller's
 /// LBA-hashing degrading under constant power-of-two strides (a known
 /// failure mode of die-assignment hashing) and calibrate the factor per
-/// profile. See DESIGN.md §4.
+/// profile.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StrideQuirk {
     /// Minimum byte gap between consecutive writes to count as strided.

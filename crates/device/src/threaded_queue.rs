@@ -54,6 +54,7 @@ use crate::Result;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fs::File;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -133,6 +134,15 @@ struct Completion {
     retries: u32,
 }
 
+/// IOs the workers hold in service right now — from taking a job to
+/// reporting its completion — and the most held at once since the
+/// last [`ThreadedIoQueue::take_peak_concurrency`].
+#[derive(Default)]
+struct InService {
+    now: AtomicUsize,
+    peak: AtomicUsize,
+}
+
 /// Completion-side state shared with `&self` accessors
 /// (`next_completion` peeks from an immutable borrow, so the receiver
 /// and the reorder heap live behind a mutex).
@@ -183,6 +193,7 @@ pub struct ThreadedIoQueue {
     done_tx: Sender<Completion>,
     lane: Mutex<CompletionLane>,
     workers: Vec<JoinHandle<()>>,
+    in_service: Arc<InService>,
     /// Retry budget stamped onto every submitted job.
     retry: RetrySpec,
     /// Observability sink; never affects timing. No FTL behind a real
@@ -228,6 +239,7 @@ impl ThreadedIoQueue {
                 retries: 0,
             }),
             workers: Vec::new(),
+            in_service: Arc::new(InService::default()),
             retry: RetrySpec::default(),
             sink: SinkHandle::null(),
             sink_enabled: false,
@@ -245,6 +257,15 @@ impl ThreadedIoQueue {
     /// zero retries).
     pub fn set_retry(&mut self, retry: RetrySpec) {
         self.retry = retry;
+    }
+
+    /// The most IOs the workers have held in service at the same time
+    /// since the last call (an IO is in service from the moment a
+    /// worker takes it until the worker reports its completion), then
+    /// start a new window. Over a drained run at depth 1 this is 1; at
+    /// a deeper queue it shows whether IOs actually overlapped.
+    pub fn take_peak_concurrency(&mut self) -> usize {
+        self.in_service.peak.swap(0, Ordering::SeqCst)
     }
 
     /// Take the oldest parked asynchronous IO error, if any (see the
@@ -281,8 +302,9 @@ impl ThreadedIoQueue {
             let epoch = self.epoch;
             let rx = Arc::clone(&self.job_rx);
             let tx = self.done_tx.clone();
+            let in_service = Arc::clone(&self.in_service);
             self.workers.push(std::thread::spawn(move || {
-                worker_loop(&file, epoch, &rx, &tx);
+                worker_loop(&file, epoch, &rx, &tx, &in_service);
             }));
         }
     }
@@ -317,6 +339,7 @@ fn worker_loop(
     epoch: Instant,
     jobs: &Mutex<Receiver<Job>>,
     done: &Sender<Completion>,
+    in_service: &InService,
 ) {
     let mut buf = AlignedBuf::new(4096);
     loop {
@@ -329,6 +352,8 @@ fn worker_loop(
             },
             Err(_) => return,
         };
+        let active = in_service.now.fetch_add(1, Ordering::SeqCst) + 1;
+        in_service.peak.fetch_max(active, Ordering::SeqCst);
         let now = epoch.elapsed();
         if job.not_before > now {
             std::thread::sleep(job.not_before - now);
@@ -351,6 +376,9 @@ fn worker_loop(
             result,
             retries,
         };
+        // Leave service before reporting: the submitter may hand the
+        // next job out as soon as it sees this completion.
+        in_service.now.fetch_sub(1, Ordering::SeqCst);
         if done.send(completion).is_err() {
             return;
         }

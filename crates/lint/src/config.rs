@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn defaults_when_empty() {
         let cfg = LintConfig::parse("").expect("parses");
-        assert!(cfg.is_root_fn("execute_plan_sharded"));
+        assert!(cfg.is_root_fn("execute_plan_observed"));
         assert!(cfg.is_root_trait("Ftl"));
         assert_eq!(cfg.max_allows, None);
     }

@@ -17,7 +17,7 @@
 //! no atomic, no allocation. Crucially the sink **never touches
 //! simulated time**: attaching or detaching a sink cannot change any
 //! measured result, only observe it (`BENCH_sim.json` fingerprints are
-//! identical with or without one — see `tests/obs_metrics.rs`).
+//! identical with or without one — see `tests/observability.rs`).
 //!
 //! ## Pieces
 //!

@@ -6,16 +6,27 @@
 //! [`execute_parallel_queued_reference`] exactly so these tests can
 //! drive both against identically seeded devices.
 //!
+//! The same properties pin the one policy selection left in the
+//! executors: with no faults injected, the retrying
+//! [`IoPolicy::default`] must give exactly the run of
+//! [`IoPolicy::none`] — for every [`Workload`] kind and both replay
+//! modes, on a queued device (`SimDevice`) and a queue-less one
+//! (`MemDevice`). Under the noop policy open-loop replay takes its
+//! batched path; under any other policy, the per-record loop.
+//!
 //! Virtual time makes "bit-identical" literal: any divergence in
 //! submission order, tie-breaking, or completion bookkeeping shows up
 //! as a differing `Duration` somewhere, not as noise.
 
 use proptest::prelude::*;
+use std::time::Duration;
 use uflip::core::executor::{execute_parallel, execute_parallel_queued_reference};
-use uflip::core::RunResult;
+use uflip::core::replay::{replay_trace_with_policy, ReplayMode};
+use uflip::core::{IoPolicy, RunResult, Workload};
 use uflip::device::profiles::{catalog, DeviceProfile};
-use uflip::device::SimDevice;
-use uflip::patterns::{LbaFn, Mode, ParallelSpec, PatternSpec};
+use uflip::device::{BlockDevice, MemDevice, SimDevice, TracingDevice};
+use uflip::obs::SinkHandle;
+use uflip::patterns::{LbaFn, MixSpec, Mode, ParallelSpec, PatternSpec};
 
 const KB: u64 = 1024;
 const MB: u64 = 1024 * 1024;
@@ -46,6 +57,70 @@ fn assert_equivalent(profile: &DeviceProfile, spec: &ParallelSpec) -> Result<(),
     Ok(())
 }
 
+/// Run every workload kind built from `spec`, and a trace captured
+/// from it in both replay modes, under the default and the noop
+/// policy, each on a fresh device — a `SimDevice` of `profile`, or a
+/// `MemDevice` with `on_mem`: response times, elapsed time and the
+/// device clock must agree.
+fn assert_policy_transparent(
+    profile: &DeviceProfile,
+    on_mem: bool,
+    spec: &ParallelSpec,
+) -> Result<(), TestCaseError> {
+    let device = || -> Box<dyn BlockDevice> {
+        if on_mem {
+            Box::new(MemDevice::new(64 * MB, Duration::from_micros(50), 1))
+        } else {
+            profile.build_sim(7)
+        }
+    };
+    let base = spec.base;
+    let other = PatternSpec::baseline(LbaFn::Random, Mode::Write, base.io_size, 8 * MB, 8)
+        .with_target(8 * MB, 8 * MB);
+    let workloads = [
+        Workload::Basic(base),
+        Workload::Mixed(MixSpec::new(base, other, 3, base.io_count)),
+        Workload::Parallel(*spec),
+    ];
+    let mut capture = TracingDevice::new(*profile.build_sim(7));
+    execute_parallel(&mut capture, spec).expect("capture run");
+    let (_, trace) = capture.into_parts();
+    let sink = SinkHandle::null();
+    let outcome = |policy: &IoPolicy, step: usize| {
+        let mut dev = device();
+        let run = match step {
+            0..=2 => workloads[step].run(dev.as_mut(), policy, &sink),
+            3 => replay_trace_with_policy(
+                dev.as_mut(),
+                &trace,
+                ReplayMode::TimingFaithful,
+                policy,
+                &sink,
+            ),
+            _ => replay_trace_with_policy(
+                dev.as_mut(),
+                &trace,
+                ReplayMode::OpenLoop { queue_depth: 8 },
+                policy,
+                &sink,
+            ),
+        }
+        .expect("fault-free run");
+        (run.rts, run.elapsed, dev.now())
+    };
+    for step in 0..5 {
+        let (retrying, noop) = (
+            outcome(&IoPolicy::default(), step),
+            outcome(&IoPolicy::none(), step),
+        );
+        prop_assert!(
+            retrying == noop,
+            "step {step} on_mem {on_mem}: {retrying:?} != {noop:?}"
+        );
+    }
+    Ok(())
+}
+
 /// Everything the device can tell us after a run: clock, FTL host
 /// statistics and aggregated NAND counters (busy time included).
 fn post_state(
@@ -65,7 +140,9 @@ proptest! {
     /// queue depth from {1, 4, 16} and any of the three catalogue
     /// profiles, the calendar executor's RunResult is bit-identical to
     /// the pre-rewrite scan loop's, and so is the device it leaves
-    /// behind.
+    /// behind. The same spec, on the profile's `SimDevice` or on a
+    /// `MemDevice`, runs identically under the default and the noop
+    /// policy.
     #[test]
     fn calendar_executor_is_bit_identical_to_reference(
         pi in 0usize..3,
@@ -78,6 +155,7 @@ proptest! {
         large_io in any::<bool>(),
         count in 16u64..=64,
         seed in any::<u64>(),
+        on_mem in any::<bool>(),
     ) {
         let lba = if random_lba { LbaFn::Random } else { LbaFn::Sequential };
         let mode = if write { Mode::Write } else { Mode::Read };
@@ -85,6 +163,7 @@ proptest! {
         let base = PatternSpec::baseline(lba, mode, size, 8 * MB, count).with_seed(seed);
         let spec = ParallelSpec::new(base, 1 << degree_log2).with_queue_depth(depth);
         assert_equivalent(&profiles()[pi], &spec)?;
+        assert_policy_transparent(&profiles()[pi], on_mem, &spec)?;
     }
 }
 
@@ -99,6 +178,10 @@ fn calendar_matches_reference_on_every_profile_and_depth() {
             let spec = ParallelSpec::new(base, 4).with_queue_depth(depth);
             assert_equivalent(&profile, &spec)
                 .unwrap_or_else(|e| panic!("{} at depth {depth}: {e:?}", profile.id));
+            for on_mem in [false, true] {
+                assert_policy_transparent(&profile, on_mem, &spec)
+                    .unwrap_or_else(|e| panic!("{} at depth {depth}: {e:?}", profile.id));
+            }
         }
     }
 }

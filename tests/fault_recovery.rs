@@ -16,15 +16,17 @@
 use proptest::prelude::*;
 use std::time::Duration;
 use uflip::core::replay::{replay_trace_with_policy, ReplayMode};
-use uflip::core::{execute_run_observed, IoPolicy};
-use uflip::device::{BlockDevice, ControllerConfig, FaultPlan, FaultyDevice, MemDevice, SimDevice};
+use uflip::core::{IoPolicy, Workload};
+use uflip::device::{
+    BlockDevice, ControllerConfig, FaultPlan, FaultyDevice, MemDevice, SimDevice, TracingDevice,
+};
 use uflip::ftl::{
     BlockMapConfig, BlockMapFtl, Ftl, HybridLogConfig, HybridLogFtl, PageMapConfig, PageMapFtl,
     ProbeState,
 };
 use uflip::nand::FailureKind;
 use uflip::obs::{CounterId, Metrics};
-use uflip::patterns::{Mode, PatternSpec};
+use uflip::patterns::{LbaFn, Mode, ParallelSpec, PatternSpec};
 use uflip::trace::{Trace, TraceRecord};
 
 const KB: u64 = 1024;
@@ -51,11 +53,13 @@ proptest! {
 
         let (bare_metrics, bare_sink) = Metrics::shared();
         let mut bare = mem();
-        let bare_run = execute_run_observed(&mut bare, &spec, &bare_sink).unwrap();
+        let bare_run = Workload::Basic(spec).run(&mut bare, &IoPolicy::none(), &bare_sink).unwrap();
 
         let (faulty_metrics, faulty_sink) = Metrics::shared();
         let mut faulty = FaultyDevice::new(mem(), FaultPlan::default());
-        let faulty_run = execute_run_observed(&mut faulty, &spec, &faulty_sink).unwrap();
+        let faulty_run = Workload::Basic(spec)
+            .run(&mut faulty, &IoPolicy::none(), &faulty_sink)
+            .unwrap();
 
         prop_assert_eq!(&bare_run.rts, &faulty_run.rts);
         prop_assert_eq!(bare_run.elapsed, faulty_run.elapsed);
@@ -156,6 +160,68 @@ fn open_loop_replay_survives_transient_read_errors() {
         0,
         "1% transient errors never exhaust a 4-retry budget"
     );
+}
+
+/// A retried submission lands after its intended instant; every later
+/// submission must still carry an instant at or after it (the
+/// `IoQueue::submit` ordering contract). Under 20 % transient read
+/// errors and the default retry policy, the submission instants that
+/// reach the device never decrease — in both replay modes and in a
+/// parallel run.
+#[test]
+fn retried_submissions_keep_virtual_time_non_decreasing() {
+    let plan = FaultPlan::transient_reads(0x5EED, 0.2);
+    let traced = || {
+        let inner = sim_device(PageMapFtl::new(PageMapConfig::tiny()).unwrap());
+        FaultyDevice::new(TracingDevice::new(inner), plan.clone())
+    };
+    let assert_monotone = |what: &str, dev: &FaultyDevice<TracingDevice<SimDevice>>| {
+        let submits: Vec<u64> = dev
+            .inner()
+            .trace()
+            .records
+            .iter()
+            .map(|r| r.submit_ns)
+            .collect();
+        assert!(submits.len() > 100, "{what}: too few submissions");
+        if let Some(w) = submits.windows(2).find(|w| w[1] < w[0]) {
+            panic!("{what}: submission at {} ns after one at {} ns", w[1], w[0]);
+        }
+    };
+    // Records 10 µs apart: a retry's backoff (≥ 100 µs) overtakes the
+    // next records' recorded instants.
+    let mut trace = read_trace(256, 0xC0FFEE);
+    for (i, rec) in trace.records.iter_mut().enumerate() {
+        rec.submit_ns = i as u64 * 10_000;
+        rec.complete_ns = rec.submit_ns;
+        rec.queue_depth = 8;
+    }
+    for mode in [
+        ReplayMode::TimingFaithful,
+        ReplayMode::OpenLoop { queue_depth: 8 },
+    ] {
+        let mut dev = traced();
+        replay_trace_with_policy(
+            &mut dev,
+            &trace,
+            mode,
+            &IoPolicy::default(),
+            &uflip::obs::SinkHandle::null(),
+        )
+        .expect("replay completes under the default retry policy");
+        assert_monotone(&mode.code(), &dev);
+    }
+    let base = PatternSpec::baseline(LbaFn::Random, Mode::Read, 512, 128 * 512, 256);
+    let par = ParallelSpec::new(base, 4).with_queue_depth(4);
+    let mut dev = traced();
+    Workload::Parallel(par)
+        .run(
+            &mut dev,
+            &IoPolicy::default(),
+            &uflip::obs::SinkHandle::null(),
+        )
+        .expect("parallel run completes under the default retry policy");
+    assert_monotone("parallel", &dev);
 }
 
 /// Power-loss crash recovery on all three FTL families: durable pages

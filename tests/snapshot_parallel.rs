@@ -9,16 +9,17 @@
 //!   fork taken at the snapshot instant;
 //! * **sharded parallel `execute_plan` ≡ serial `execute_plan`**: the
 //!   merged points, reset count and summed device time of the
-//!   reset-delimited-segment execution equal the serial path's, on
-//!   both `MemDevice` and `SimDevice`.
+//!   reset-delimited-segment execution (`SuiteOptions::threads` ≠ 1)
+//!   equal the serial path's, on both `MemDevice` and `SimDevice`.
 
 use proptest::prelude::*;
 use std::time::Duration;
 use uflip::core::micro::MicroConfig;
-use uflip::core::suite::{run_full_suite, run_full_suite_sharded, SuiteOptions};
+use uflip::core::suite::{run_full_suite, SuiteOptions};
 use uflip::device::profiles::catalog;
 use uflip::device::{BlockDevice, ControllerConfig, MemDevice, SimDevice};
 use uflip::ftl::{PageMapConfig, PageMapFtl};
+use uflip::obs::SinkHandle;
 use uflip::patterns::{IoRequest, Mode};
 
 const MB: u64 = 1024 * 1024;
@@ -244,6 +245,19 @@ fn quick_cfg(target_size: u64) -> MicroConfig {
     cfg
 }
 
+fn null() -> SinkHandle {
+    SinkHandle::null()
+}
+
+/// [`suite_opts`] with the plan's segments sharded across `threads`
+/// workers (0 = one per CPU).
+fn sharded_opts(threads: usize) -> SuiteOptions {
+    SuiteOptions {
+        threads,
+        ..suite_opts()
+    }
+}
+
 fn suite_opts() -> SuiteOptions {
     SuiteOptions {
         inter_run_pause: Duration::from_millis(50),
@@ -262,12 +276,13 @@ fn sharded_plan_is_bit_identical_to_serial_on_mem_device() {
     let cfg = quick_cfg(5 * MB);
     let mk = || MemDevice::new(8 * MB, Duration::from_micros(40), 1);
     let mut serial_dev = mk();
-    let (plan, serial) = run_full_suite(&mut serial_dev, &cfg, &suite_opts()).expect("serial");
+    let (plan, serial) =
+        run_full_suite(&mut serial_dev, &cfg, &suite_opts(), &null()).expect("serial");
     assert!(serial.resets >= 2, "plan must exercise resets: {plan:?}");
-    for threads in [1, 3, 0] {
+    for threads in [2, 3, 0] {
         let mut dev = mk();
         let (_, sharded) =
-            run_full_suite_sharded(&mut dev, &cfg, &suite_opts(), threads).expect("sharded");
+            run_full_suite(&mut dev, &cfg, &sharded_opts(threads), &null()).expect("sharded");
         assert_eq!(serial, sharded, "threads={threads}");
     }
 }
@@ -277,11 +292,12 @@ fn sharded_plan_is_bit_identical_to_serial_on_sim_device() {
     let profile = catalog::transcend_module();
     let cfg = quick_cfg(profile.sim_capacity_bytes() / 2 + MB);
     let mut serial_dev = profile.build_sim(11);
-    let (_, serial) = run_full_suite(serial_dev.as_mut(), &cfg, &suite_opts()).expect("serial");
+    let (_, serial) =
+        run_full_suite(serial_dev.as_mut(), &cfg, &suite_opts(), &null()).expect("serial");
     assert!(serial.resets >= 2, "plan must exercise resets");
     let mut dev = profile.build_sim(11);
     let (_, sharded) =
-        run_full_suite_sharded(dev.as_mut(), &cfg, &suite_opts(), 4).expect("sharded");
+        run_full_suite(dev.as_mut(), &cfg, &sharded_opts(4), &null()).expect("sharded");
     assert_eq!(serial.resets, sharded.resets);
     assert_eq!(serial.device_time, sharded.device_time);
     assert_eq!(serial.points.len(), sharded.points.len());
@@ -300,8 +316,9 @@ fn sharded_plan_falls_back_when_snapshots_are_off() {
     let mk = || MemDevice::new(8 * MB, Duration::from_micros(40), 1);
     let mut a = mk();
     let mut b = mk();
-    let (_, serial) = run_full_suite(&mut a, &cfg, &opts).expect("serial");
-    let (_, sharded) = run_full_suite_sharded(&mut b, &cfg, &opts, 4).expect("fallback");
+    let (_, serial) = run_full_suite(&mut a, &cfg, &opts, &null()).expect("serial");
+    let sharded_opts = SuiteOptions { threads: 4, ..opts };
+    let (_, sharded) = run_full_suite(&mut b, &cfg, &sharded_opts, &null()).expect("fallback");
     // Both re-enforce at every reset (the paper-literal path).
     assert_eq!(serial, sharded);
 }
@@ -314,13 +331,13 @@ fn snapshot_resets_skip_reenforcement_device_work() {
     let cfg = quick_cfg(5 * MB);
     let mk = || MemDevice::new(8 * MB, Duration::from_micros(40), 1);
     let mut snap_dev = mk();
-    let (_, with_snap) = run_full_suite(&mut snap_dev, &cfg, &suite_opts()).expect("snap");
+    let (_, with_snap) = run_full_suite(&mut snap_dev, &cfg, &suite_opts(), &null()).expect("snap");
     let mut legacy_dev = mk();
     let legacy_opts = SuiteOptions {
         snapshot_resets: false,
         ..suite_opts()
     };
-    let (_, legacy) = run_full_suite(&mut legacy_dev, &cfg, &legacy_opts).expect("legacy");
+    let (_, legacy) = run_full_suite(&mut legacy_dev, &cfg, &legacy_opts, &null()).expect("legacy");
     assert!(with_snap.resets >= 2);
     assert_eq!(with_snap.resets, legacy.resets);
     assert!(

@@ -8,6 +8,7 @@ use uflip::core::methodology::plan::BenchmarkPlan;
 use uflip::core::micro::MicroConfig;
 use uflip::core::suite::{full_suite, run_full_suite, SuiteOptions};
 use uflip::device::profiles::catalog;
+use uflip::obs::SinkHandle;
 
 fn tiny_cfg() -> MicroConfig {
     let mut cfg = MicroConfig::quick();
@@ -27,7 +28,8 @@ fn full_suite_runs_on_a_simulated_device() {
         seed: 3,
         ..Default::default()
     };
-    let (plan, result) = run_full_suite(dev.as_mut(), &tiny_cfg(), &opts).expect("suite");
+    let (plan, result) =
+        run_full_suite(dev.as_mut(), &tiny_cfg(), &opts, &SinkHandle::null()).expect("suite");
     assert_eq!(result.points.len(), plan.run_count());
     // Every one of the nine micro-benchmark families produced results.
     let families: std::collections::BTreeSet<&str> = result
