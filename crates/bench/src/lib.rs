@@ -6,6 +6,12 @@
 //! output directories, and the standard preparation sequence (state
 //! enforcement + settle) of §4.
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "the shared CLI layer of the bench binaries: usage text and flag diagnostics are its output"
+)]
+
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use uflip_core::methodology::state::enforce_random_state;
@@ -379,8 +385,11 @@ pub fn prepared_device(profile: &DeviceProfile, quick: bool) -> Box<dyn BlockDev
     // Coverage must exceed 1 + over-provisioning for the free pool to
     // reach its GC watermark (see CharacterizeConfig::paper()).
     let coverage = if quick { 1.5 } else { 2.0 };
+    #[expect(
+        clippy::expect_used,
+        reason = "fresh sim device with seeded state; failure means the profile itself is broken and the harness must stop"
+    )]
     enforce_random_state(dev.as_mut(), 128 * 1024, coverage, 0xF11B)
-        // uflip-lint: allow(UF002, reason = "fresh sim device with seeded state; failure means the profile itself is broken and the harness must stop")
         .expect("state enforcement cannot fail on a healthy simulated device");
     dev.idle(Duration::from_secs(5));
     dev

@@ -220,9 +220,8 @@ pub(crate) fn run_parallel(
 /// instead of the linear scan over every process the loop used to pay
 /// per iteration — with ties broken toward the lower process index,
 /// exactly the first-minimal element `min_by_key` picked, so the
-/// schedule is bit-identical to the scan
-/// ([`execute_parallel_queued_reference`] keeps the old loop as the
-/// behavioral reference).
+/// schedule is bit-identical to the scan (`tests/executor_equivalence.rs`
+/// keeps the old loop as the behavioral reference).
 fn parallel_queued(
     dev: &mut dyn BlockDevice,
     par: &ParallelSpec,
@@ -370,7 +369,6 @@ fn parallel_queued(
 /// Book a completed IO: compute its response time into `rts` (indexed
 /// by submission order) and return its process to the calendar with
 /// the submission instant of the process's next IO.
-#[allow(clippy::too_many_arguments)]
 fn retire(
     inflight: &mut TokenSlab<(usize, Duration, usize)>,
     calendar: &mut BinaryHeap<Reverse<(Duration, usize)>>,
@@ -431,125 +429,6 @@ fn parallel_serial(
         pending[p] = streams[p].next();
     }
     Ok(RunResult::new(par.name(), rts, 0, device_free - base))
-}
-
-/// The pre-calendar queued executor: per-iteration linear scan over
-/// every process for the earliest submission. Kept as the behavioral
-/// reference the calendar loop must match bit-for-bit — the
-/// equivalence property tests drive both against cloned devices and
-/// assert identical [`RunResult`]s.
-pub fn execute_parallel_queued_reference(
-    dev: &mut dyn BlockDevice,
-    par: &ParallelSpec,
-) -> Result<RunResult> {
-    let mut streams: Vec<_> = par.process_specs().into_iter().map(|s| s.iter()).collect();
-    let n = streams.len();
-    let base = dev.now();
-    let mut ready: Vec<Duration> = vec![base; n];
-    let mut pending: Vec<Option<IoRequest>> = streams.iter_mut().map(|s| s.next()).collect();
-    // Processes are synchronous: `blocked[p]` while p's IO is in flight.
-    let mut blocked = vec![false; n];
-    let queue = dev
-        .io_queue()
-        .ok_or(DeviceError::Internal("device lost its queue mid-run"))?;
-    let device_depth = queue.queue_depth();
-    if let Some(depth) = par.queue_depth {
-        queue.set_queue_depth(depth)?;
-    }
-    let mut inflight: TokenSlab<(usize, Duration, usize)> = TokenSlab::new();
-    let mut rts: Vec<Duration> = Vec::new();
-    let mut seq = 0usize;
-    let mut last_completion = base;
-    let retire_one = |inflight: &mut TokenSlab<(usize, Duration, usize)>,
-                      blocked: &mut [bool],
-                      ready: &mut [Duration],
-                      rts: &mut [Duration],
-                      token: Token,
-                      completion: Duration| {
-        let (p, submit, sq) = inflight.remove(token);
-        rts[sq] = completion - submit;
-        blocked[p] = false;
-        ready[p] = completion;
-    };
-    loop {
-        // Earliest-submitting runnable process, if any.
-        let candidate = (0..n)
-            .filter(|&p| !blocked[p] && pending[p].is_some())
-            .min_by_key(|&p| {
-                pending[p]
-                    .as_ref()
-                    .map_or(Duration::MAX, |io| ready[p] + io.submit_delay)
-            });
-        let Some(p) = candidate else {
-            match queue.poll() {
-                Some((token, completion)) => {
-                    retire_one(
-                        &mut inflight,
-                        &mut blocked,
-                        &mut ready,
-                        &mut rts,
-                        token,
-                        completion,
-                    );
-                    last_completion = last_completion.max(completion);
-                    continue;
-                }
-                None => break,
-            }
-        };
-        let submit = pending[p]
-            .as_ref()
-            .map_or(Duration::MAX, |io| ready[p] + io.submit_delay);
-        if let Some(next_done) = queue.next_completion() {
-            if next_done <= submit {
-                let (token, completion) = queue
-                    .poll()
-                    .ok_or(DeviceError::Internal("peeked completion vanished"))?;
-                retire_one(
-                    &mut inflight,
-                    &mut blocked,
-                    &mut ready,
-                    &mut rts,
-                    token,
-                    completion,
-                );
-                last_completion = last_completion.max(completion);
-                continue;
-            }
-        }
-        let io = pending[p]
-            .take()
-            .ok_or(DeviceError::Internal("candidate without an IO"))?;
-        match queue.submit(&io, submit) {
-            Ok(token) => {
-                inflight.insert(token, (p, submit, seq));
-                seq += 1;
-                rts.push(Duration::ZERO);
-                blocked[p] = true;
-                pending[p] = streams[p].next();
-            }
-            Err(DeviceError::QueueFull { .. }) => {
-                pending[p] = Some(io);
-                let (token, completion) = queue
-                    .poll()
-                    .ok_or(DeviceError::Internal("full queue with nothing to poll"))?;
-                retire_one(
-                    &mut inflight,
-                    &mut blocked,
-                    &mut ready,
-                    &mut rts,
-                    token,
-                    completion,
-                );
-                last_completion = last_completion.max(completion);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    if queue.queue_depth() != device_depth {
-        queue.set_queue_depth(device_depth)?;
-    }
-    Ok(RunResult::new(par.name(), rts, 0, last_completion - base))
 }
 
 #[cfg(test)]

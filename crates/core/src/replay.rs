@@ -179,7 +179,10 @@ fn replay(
 fn abandon(queue: &mut dyn IoQueue, device_depth: u32, e: DeviceError) -> DeviceError {
     while queue.poll().is_some() {}
     if queue.queue_depth() != device_depth {
-        // uflip-lint: allow(UF030, reason = "error path: the primary error outranks a failed depth restore")
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "error path: the primary error outranks a failed depth restore"
+        )]
         let _ = queue.set_queue_depth(device_depth);
     }
     e

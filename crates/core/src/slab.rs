@@ -38,10 +38,14 @@ impl<T> TokenSlab<T> {
     }
 
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "token-protocol invariants on the O(1) hot path: insert fixes the base before any lookup, and offsets are bounded by queue depth"
+    )]
     fn index(&self, token: Token) -> usize {
-        // uflip-lint: allow(UF002, UF031, reason = "token-protocol invariant on the O(1) hot path: insert fixes the base before any lookup")
+        // uflip-lint: allow(UF031, reason = "token-protocol invariant on the O(1) hot path: insert fixes the base before any lookup")
         let base = self.base.expect("insert fixes the base first");
-        // uflip-lint: allow(UF002, UF031, reason = "token offsets are bounded by queue depth; a failure here is a corrupted token, best caught loudly")
+        // uflip-lint: allow(UF031, reason = "token offsets are bounded by queue depth; a failure here is a corrupted token, best caught loudly")
         usize::try_from(token.raw() - base).expect("token offsets fit a slab index")
     }
 
@@ -61,11 +65,15 @@ impl<T> TokenSlab<T> {
 
     /// Take the value recorded for a completed `token`.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "queues complete only submitted tokens; silently skipping an unknown token would hide executor bugs"
+    )]
     pub fn remove(&mut self, token: Token) -> T {
         let idx = self.index(token);
         self.slots[idx]
             .take()
-            // uflip-lint: allow(UF002, UF031, reason = "queues complete only submitted tokens; silently skipping an unknown token would hide executor bugs")
+            // uflip-lint: allow(UF031, reason = "queues complete only submitted tokens; silently skipping an unknown token would hide executor bugs")
             .expect("completed token was submitted")
     }
 }

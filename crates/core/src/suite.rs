@@ -420,7 +420,11 @@ fn execute_sharded(
     let per_worker: Vec<Result<Vec<SegmentOutcome>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                // uflip-lint: allow(UF002, UF031, reason = "fork precondition checked by the snapshot_state gate above; no Result plumbing inside thread::scope closures")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "fork precondition checked by the snapshot_state gate above; no Result plumbing inside thread::scope closures"
+                )]
+                // uflip-lint: allow(UF031, reason = "fork precondition checked by the snapshot_state gate above; no Result plumbing inside thread::scope closures")
                 let mut fork = dev.fork().expect("snapshot_capable devices support fork");
                 let state = snapshot.clone();
                 let assigned: Vec<usize> = (w..segments.len()).step_by(workers).collect();
@@ -446,8 +450,14 @@ fn execute_sharded(
             .collect();
         handles
             .into_iter()
-            // uflip-lint: allow(UF002, UF031, reason = "join propagates a worker thread's panic; swallowing it would fake results")
-            .map(|h| h.join().expect("plan segment threads do not panic"))
+            .map(
+                #[expect(
+                    clippy::expect_used,
+                    reason = "join propagates a worker thread's panic; swallowing it would fake results"
+                )]
+                // uflip-lint: allow(UF031, reason = "join propagates a worker thread's panic; swallowing it would fake results")
+                |h| h.join().expect("plan segment threads do not panic"),
+            )
             .collect()
     });
     let mut by_segment: Vec<Option<(Vec<SuitePointResult>, Duration)>> =

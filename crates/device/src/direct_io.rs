@@ -18,6 +18,11 @@
 //! `OpenOptionsExt::custom_flags` and the aligned buffer is carved out
 //! of an over-allocated `Vec` — all safe `std`.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a real-hardware backend times actual IOs with the monotonic wall clock, not the simulation's virtual clock"
+)]
+
 use crate::block_device::BlockDevice;
 use crate::threaded_queue::ThreadedIoQueue;
 use crate::Result;
@@ -151,8 +156,11 @@ impl DirectIoFile {
             "osync"
         };
         #[cfg(all(unix, not(any(target_os = "linux", target_os = "macos"))))]
+        #[expect(
+            clippy::print_stderr,
+            reason = "one-time non-Linux fallback warning at open; obs has no warning channel"
+        )]
         let prefix = {
-            // uflip-lint: allow(UF004, reason = "one-time non-Linux fallback warning at open; obs has no warning channel")
             eprintln!(
                 "warning: no O_DIRECT on this platform; {} opens buffered \
                  (results include OS caching)",

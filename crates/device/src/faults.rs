@@ -215,8 +215,11 @@ impl FaultPlan {
     }
 
     /// Serialize the plan as pretty JSON.
+    #[expect(
+        clippy::expect_used,
+        reason = "serialization of a plain plan struct cannot fail"
+    )]
     pub fn to_json(&self) -> String {
-        // uflip-lint: allow(UF002, reason = "serialization of a plain plan struct cannot fail")
         serde_json::to_string_pretty(self).expect("FaultPlan serializes")
     }
 }
@@ -242,6 +245,9 @@ pub struct FaultyDevice<D: BlockDevice> {
     io_index: u64,
     /// `Some(index)` after an injected power loss, until recovery.
     crashed: Option<u64>,
+    /// End of the last queued latency spike: the device is stalled until
+    /// then, so no later submission reaches the backend earlier.
+    stalled_until: Duration,
     sink: SinkHandle,
     sink_enabled: bool,
 }
@@ -258,6 +264,7 @@ impl<D: BlockDevice> FaultyDevice<D> {
             rng,
             io_index: 0,
             crashed: None,
+            stalled_until: Duration::ZERO,
             sink: SinkHandle::null(),
             sink_enabled: false,
         }
@@ -480,6 +487,7 @@ impl<D: BlockDevice> BlockDevice for FaultyDevice<D> {
             rng: self.rng,
             io_index: self.io_index,
             crashed: self.crashed,
+            stalled_until: self.stalled_until,
             sink: self.sink.clone(),
             sink_enabled: self.sink_enabled,
         }))
@@ -487,9 +495,11 @@ impl<D: BlockDevice> BlockDevice for FaultyDevice<D> {
 }
 
 /// The queued fault path: arrival decisions happen at `submit` (the
-/// same decision the synchronous path makes), latency spikes delay the
-/// IO's submission instant, and a crash tears every in-flight IO —
-/// `poll` reports nothing after power loss.
+/// same decision the synchronous path makes), a latency spike stalls the
+/// device (the spiked IO and every later one reach the backend no
+/// earlier than the stall's end, as on the synchronous path), and a
+/// crash tears every in-flight IO — `poll` reports nothing after power
+/// loss.
 impl<D: BlockDevice> IoQueue for FaultyDevice<D> {
     fn queue_depth(&self) -> u32 {
         self.inner.io_queue_ref().map_or(1, |q| q.queue_depth())
@@ -541,11 +551,13 @@ impl<D: BlockDevice> IoQueue for FaultyDevice<D> {
         }
         self.check(io.offset, io.size)?;
         let extra = self.decide(io.mode, io.offset, io.size)?;
-        // A spike delays the IO's arrival at the backend. Virtual-time
-        // backends prefer non-decreasing submission instants; spikes
-        // are rare perturbations of exactly the kind wall-clock queues
-        // already tolerate (see `crate::queue`).
-        let at = at + Duration::from_nanos(extra);
+        // A spike stalls the device from this IO's arrival; the IO and
+        // every later submission reach the backend after the stall, so
+        // submission instants stay non-decreasing.
+        let at = at.max(self.stalled_until) + Duration::from_nanos(extra);
+        if extra > 0 {
+            self.stalled_until = at;
+        }
         self.inner
             .io_queue()
             .ok_or(DeviceError::Internal("submit on a backend without a queue"))?

@@ -116,22 +116,22 @@ impl DeviceProfile {
         // JSON-loaded profiles were validated at parse time and the
         // built-in catalog is construction-tested, so these cannot fire
         // there; `build_sim`'s 83 call sites keep their infallible
-        // signature. (uflip-lint: the allows below each cover one arm.)
+        // signature.
+        #[expect(
+            clippy::expect_used,
+            reason = "config validated by from_json/catalog tests; one expect per FTL arm"
+        )]
         let ftl: Box<dyn uflip_ftl::Ftl + Send> = match &self.ftl {
             FtlSpec::PageMap(c) => {
-                // uflip-lint: allow(UF002, reason = "config validated by from_json/catalog tests")
                 Box::new(PageMapFtl::new(*c).expect("profile PageMap config must be valid"))
             }
             FtlSpec::HybridLog(c) => {
-                // uflip-lint: allow(UF002, reason = "config validated by from_json/catalog tests")
                 Box::new(HybridLogFtl::new(*c).expect("profile HybridLog config must be valid"))
             }
             FtlSpec::BlockMap(c) => {
-                // uflip-lint: allow(UF002, reason = "config validated by from_json/catalog tests")
                 Box::new(BlockMapFtl::new(*c).expect("profile BlockMap config must be valid"))
             }
             FtlSpec::Fitted(c) => {
-                // uflip-lint: allow(UF002, reason = "config validated by from_json/catalog tests")
                 Box::new(FittedFtl::new(c.clone()).expect("profile Fitted config must be valid"))
             }
         };
@@ -171,8 +171,11 @@ impl DeviceProfile {
     }
 
     /// Serialize to pretty JSON.
+    #[expect(
+        clippy::expect_used,
+        reason = "serialization of a plain data struct with no maps or non-UTF8 keys cannot fail"
+    )]
     pub fn to_json(&self) -> String {
-        // uflip-lint: allow(UF002, reason = "serialization of a plain data struct with no maps or non-UTF8 keys cannot fail")
         serde_json::to_string_pretty(self).expect("profiles are always serializable")
     }
 

@@ -534,7 +534,10 @@ impl Drop for ThreadedIoQueue {
         // exit; join so no thread outlives the file handle's owner.
         drop(self.job_tx.take());
         for w in self.workers.drain(..) {
-            // uflip-lint: allow(UF030, reason = "a worker that panicked already reported its error via take_error; Drop must not panic again")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a worker that panicked already reported its error via take_error; Drop must not panic again"
+            )]
             let _ = w.join();
         }
     }

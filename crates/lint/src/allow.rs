@@ -1,8 +1,8 @@
 //! The `// uflip-lint: allow(…)` suppression grammar.
 //!
 //! ```text
-//! // uflip-lint: allow(UF002, reason = "mutex poisoning is fatal by design")
-//! // uflip-lint: allow(UF001, UF003, reason = "bench-only wall probe")
+//! // uflip-lint: allow(UF031, reason = "token-protocol invariant; a failure is a corrupted token")
+//! // uflip-lint: allow(UF003, UF006, reason = "sentinel cast and compare")
 //! // uflip-lint: allow-fn(UF021, reason = "single consumer; blocking by design")
 //! ```
 //!
@@ -15,9 +15,14 @@
 //! one `UFxxx` code and carry a non-empty `reason = "…"`; anything else
 //! is reported as `UF000`, as is a marker that ends up suppressing
 //! nothing (dead allows rot).
+//!
+//! Suppressions of the clippy policy lints are ordinary
+//! `#[expect(clippy::…, reason = "…")]` attributes, whose hygiene
+//! clippy enforces itself; [`count_policy_suppressions`] counts them
+//! for the shared allow budget.
 
-use crate::lexer::Comment;
-use crate::{Code, Diagnostic};
+use crate::lexer::{Comment, Token, TokenKind};
+use crate::{Code, Diagnostic, POLICY_LINTS};
 
 /// What source range a marker suppresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,4 +182,51 @@ fn split_args(s: &str) -> Vec<&str> {
     }
     out.push(&s[start..]);
     out
+}
+
+/// Count the `#[expect(…)]` / `#[allow(…)]` attributes (outer or inner,
+/// outside test code) that name at least one clippy policy lint, such as
+/// `#[expect(clippy::unwrap_used, reason = "…")]`.
+pub fn count_policy_suppressions(toks: &[Token]) -> usize {
+    let punct = |i: usize, s: &str| {
+        toks.get(i)
+            .is_some_and(|t| t.kind == TokenKind::Punct && t.text == s)
+    };
+    let ident = |i: usize, s: &str| {
+        toks.get(i)
+            .is_some_and(|t| t.kind == TokenKind::Ident && t.text == s)
+    };
+    let mut count = 0;
+    for (i, t) in toks.iter().enumerate() {
+        if t.in_test || !punct(i, "#") {
+            continue;
+        }
+        let open = if punct(i + 1, "!") { i + 2 } else { i + 1 };
+        if !punct(open, "[") || !(ident(open + 1, "expect") || ident(open + 1, "allow")) {
+            continue;
+        }
+        let mut depth = 0usize;
+        let mut j = open;
+        let mut names_policy_lint = false;
+        while let Some(tok) = toks.get(j) {
+            if tok.kind == TokenKind::Punct {
+                match tok.text.as_str() {
+                    "[" | "(" => depth += 1,
+                    "]" | ")" => depth -= 1,
+                    _ => {}
+                }
+            }
+            if depth == 0 {
+                break;
+            }
+            names_policy_lint |= ident(j, "clippy")
+                && punct(j + 1, "::")
+                && toks
+                    .get(j + 2)
+                    .is_some_and(|l| POLICY_LINTS.contains(&l.text.as_str()));
+            j += 1;
+        }
+        count += usize::from(names_policy_lint);
+    }
+    count
 }

@@ -12,7 +12,8 @@
 //! machine-readable report. `--graph PATH` (repeatable) writes a graph
 //! artifact chosen by the file stem: `callgraph*.json` gets the call
 //! graph, `lock_order*.json` the lock-order graph. `--check-allows`
-//! only verifies the allow budget and prints the count.
+//! only verifies the allow budget and prints the count: allow markers
+//! plus `#[expect]`/`#[allow]` suppressions of the clippy policy lints.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -137,14 +138,16 @@ fn main() -> ExitCode {
     }
 
     if opts.check_allows {
+        let count = format!(
+            "{} suppressions ({} allow markers, {} clippy policy suppressions)",
+            result.suppression_count(),
+            result.allow_count,
+            result.clippy_suppressions
+        );
         match result.max_allows {
             Some(max) => {
-                println!(
-                    "uflip-lint: {} allow marker{} (budget {max})",
-                    result.allow_count,
-                    if result.allow_count == 1 { "" } else { "s" },
-                );
-                if result.allow_count > max {
+                println!("uflip-lint: {count} (budget {max})");
+                if result.over_allow_budget() {
                     eprintln!(
                         "uflip-lint: allow budget exceeded — raise [policy] max_allows in \
                          lint.toml deliberately or remove an allow"
@@ -152,12 +155,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(1);
                 }
             }
-            None => {
-                println!(
-                    "uflip-lint: {} allow markers (no budget configured)",
-                    result.allow_count
-                );
-            }
+            None => println!("uflip-lint: {count} (no budget configured)"),
         }
         return ExitCode::SUCCESS;
     }
@@ -190,7 +188,7 @@ fn main() -> ExitCode {
     if opts.deny && over_budget {
         eprintln!(
             "uflip-lint: allow budget exceeded ({} > {})",
-            result.allow_count,
+            result.suppression_count(),
             result.max_allows.unwrap_or(0)
         );
     }

@@ -204,6 +204,29 @@ max_allows = 7
         assert!(!cfg.is_root_trait("Ftl"));
     }
 
+    /// `lint.toml` is external input: every truncation and every
+    /// byte flip of the committed file (read as lossy UTF-8) must parse
+    /// to `Ok` or `Err`, never panic.
+    #[test]
+    fn committed_lint_toml_survives_truncation_and_byte_flips() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../lint.toml");
+        let bytes = std::fs::read(path).expect("read the committed lint.toml");
+        let parse = |b: &[u8]| LintConfig::parse(&String::from_utf8_lossy(b)).is_ok();
+        assert!(parse(&bytes));
+        let truncated_ok = (0..bytes.len()).filter(|&cut| parse(&bytes[..cut])).count();
+        let mut flipped_ok = 0;
+        for i in 0..bytes.len() {
+            for mask in [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xFF] {
+                let mut b = bytes.clone();
+                b[i] ^= mask;
+                flipped_ok += usize::from(parse(&b));
+            }
+        }
+        // Both sweeps reach the error paths as well as the happy path.
+        assert!(0 < truncated_ok && truncated_ok < bytes.len());
+        assert!(0 < flipped_ok && flipped_ok < 9 * bytes.len());
+    }
+
     #[test]
     fn rejects_unknown_keys() {
         assert!(LintConfig::parse("[roots]\nfunctons = []\n").is_err());

@@ -116,10 +116,6 @@ struct Symbols {
     lock_fields: BTreeMap<(String, String), LockKind>,
     /// `field → owners` reverse index.
     lock_field_owners: BTreeMap<String, Vec<String>>,
-    /// `(owner, field)` pairs of std-map-typed struct fields.
-    map_fields: BTreeSet<(String, String)>,
-    /// Any workspace fn of this name returns `Result`.
-    result_fns: BTreeSet<String>,
     /// Any workspace fn of this name returns a lock guard.
     guard_fns: BTreeSet<String>,
 }
@@ -133,8 +129,6 @@ fn build_symbols(files: &[ParsedFile], fns: &[(usize, usize)]) -> Symbols {
         by_macro: BTreeMap::new(),
         lock_fields: BTreeMap::new(),
         lock_field_owners: BTreeMap::new(),
-        map_fields: BTreeSet::new(),
-        result_fns: BTreeSet::new(),
         guard_fns: BTreeSet::new(),
     };
     for (id, &(f, i)) in fns.iter().enumerate() {
@@ -145,9 +139,6 @@ fn build_symbols(files: &[ParsedFile], fns: &[(usize, usize)]) -> Symbols {
         if item.is_macro {
             s.by_macro.entry(item.name.clone()).or_default().push(id);
             continue;
-        }
-        if item.returns_result {
-            s.result_fns.insert(item.name.clone());
         }
         if item.returns_guard {
             s.guard_fns.insert(item.name.clone());
@@ -187,9 +178,6 @@ fn build_symbols(files: &[ParsedFile], fns: &[(usize, usize)]) -> Symbols {
             if !owners.contains(&lf.owner) {
                 owners.push(lf.owner.clone());
             }
-        }
-        for mf in &file.map_fields {
-            s.map_fields.insert((mf.owner.clone(), mf.field.clone()));
         }
     }
     s

@@ -4,9 +4,9 @@
 //! items (free functions, inherent and trait-impl methods, trait default
 //! methods, `macro_rules!` bodies as pseudo-functions), struct fields of
 //! interesting types (locks, std hash maps), and per-function body
-//! *events* — call sites, lock acquisitions, wall-clock and RNG touches,
-//! hash-map iterations, discarded `Result`s — each tagged with enough
-//! scope information for the graph layer to simulate guard lifetimes.
+//! *events* — call sites, lock acquisitions, RNG touches, hash-map
+//! iterations, panic sites — each tagged with enough scope information
+//! for the graph layer to simulate guard lifetimes.
 //!
 //! The parser is conservative and never fails: anything it does not
 //! recognize is skipped, which can only *lose* facts (an unresolved call
@@ -47,6 +47,9 @@ const MAP_ITER_METHODS: &[&str] = &[
     "into_values",
     "retain",
 ];
+
+/// Panicking macros (UF031, with `.unwrap()` / `.expect(…)` calls).
+const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
 /// Unseeded / process-random entropy sources (UF011).
 const RNG_SOURCES: &[&str] = &[
@@ -189,17 +192,12 @@ pub struct Fact {
 pub struct FnFacts {
     /// Call and scope events in source order.
     pub events: Vec<Event>,
-    /// Wall-clock touches (`Instant::now`, `SystemTime`).
-    pub wall_clock: Vec<Fact>,
     /// Unseeded RNG touches.
     pub rng: Vec<Fact>,
     /// Hash-map iteration sites: `what` is `recv.method`.
     pub map_iters: Vec<(Fact, Vec<String>, String)>,
-    /// `let _ = call(…);` discards: `what` is the final callee name,
-    /// bool is true when that callee was a method call.
-    pub discards: Vec<(Fact, String, bool)>,
-    /// Statement-form `.ok();` discards.
-    pub ok_discards: Vec<Fact>,
+    /// Panic sites: `.unwrap()`, `.expect(…)` and the panicking macros.
+    pub panics: Vec<Fact>,
     /// Local variables of std map type declared in this body.
     pub local_maps: Vec<String>,
     /// Parameters of lock type: (name, kind).
@@ -230,8 +228,6 @@ pub struct FnItem {
     pub sig: (usize, usize),
     /// Token index range of the body braces, inclusive, if any.
     pub body: Option<(usize, usize)>,
-    /// Return type names `Result`.
-    pub returns_result: bool,
     /// Return type names a lock guard.
     pub returns_guard: bool,
     /// Function lies in `#[cfg(test)]` / `#[test]` code.
@@ -245,16 +241,12 @@ pub struct FnItem {
 pub struct ParsedFile {
     /// Workspace-relative path.
     pub rel: String,
-    /// Crate directory name.
-    pub crate_name: String,
     /// All function items, in source order.
     pub items: Vec<FnItem>,
     /// Lock-typed struct fields and statics.
     pub lock_fields: Vec<LockField>,
     /// Std-map-typed struct fields.
     pub map_fields: Vec<MapField>,
-    /// Trait names declared in this file.
-    pub traits: Vec<String>,
 }
 
 fn is_punct(t: &Token, s: &str) -> bool {
@@ -324,17 +316,11 @@ fn range_has_ident(toks: &[Token], a: usize, b: usize, name: &str) -> bool {
         .any(|t| t.kind == TokenKind::Ident && t.text == name)
 }
 
-/// Parse one file into items, fields and traits. Body facts are filled
-/// in the same pass via [`extract_facts`].
+/// Parse one file into items and fields. Body facts are filled in the
+/// same pass via [`extract_facts`].
 pub fn parse_file(rel: &str, lexed: &Lexed) -> ParsedFile {
-    let crate_name = rel
-        .strip_prefix("crates/")
-        .and_then(|r| r.split('/').next())
-        .unwrap_or("uflip")
-        .to_string();
     let mut out = ParsedFile {
         rel: rel.to_string(),
-        crate_name,
         ..ParsedFile::default()
     };
     parse_items(lexed, &mut out, 0, lexed.tokens.len(), None, None);
@@ -419,9 +405,6 @@ fn parse_items(
                     continue;
                 }
                 let end = match_brace(toks, open);
-                if !name.is_empty() {
-                    out.traits.push(name.clone());
-                }
                 parse_items(
                     lexed,
                     out,
@@ -489,7 +472,6 @@ fn parse_items(
                     end_line,
                     sig: (i, open),
                     body: Some((open, end.saturating_sub(1))),
-                    returns_result: false,
                     returns_guard: false,
                     in_test: t.in_test,
                     facts: FnFacts::default(),
@@ -626,13 +608,11 @@ fn parse_fn(
     };
     let name = name.to_string();
     let (open, brace) = find_body_open(toks, i + 2);
-    let mut returns_result = false;
     let mut returns_guard = false;
     // Return type: tokens after the last `->` in the signature.
     let mut k = i + 2;
     while k < open {
         if is_punct(&toks[k], "->") {
-            returns_result = range_has_ident(toks, k + 1, open, "Result");
             returns_guard = toks[k + 1..open.min(toks.len())]
                 .iter()
                 .any(|t| t.kind == TokenKind::Ident && t.text.ends_with("Guard"));
@@ -671,7 +651,6 @@ fn parse_fn(
         end_line,
         sig: (i, open),
         body,
-        returns_result,
         returns_guard,
         in_test: toks[i].in_test,
         facts: FnFacts::default(),
@@ -807,25 +786,6 @@ fn extract_facts(
             TokenKind::Ident => {
                 let name = t.text.as_str();
 
-                // Wall clock.
-                if name == "Instant"
-                    && toks.get(i + 1).is_some_and(|p| is_punct(p, "::"))
-                    && ident_at(toks, i + 2) == Some("now")
-                {
-                    f.wall_clock.push(Fact {
-                        line: t.line,
-                        col: t.col,
-                        what: "Instant::now".to_string(),
-                    });
-                }
-                if name == "SystemTime" {
-                    f.wall_clock.push(Fact {
-                        line: t.line,
-                        col: t.col,
-                        what: "SystemTime".to_string(),
-                    });
-                }
-
                 // Unseeded RNG.
                 if RNG_SOURCES.contains(&name)
                     || (name == "random"
@@ -869,28 +829,6 @@ fn extract_facts(
                     }
                 }
 
-                // `let _ = …;` discards: find the final top-level call of
-                // the statement's expression.
-                if name == "let"
-                    && i == stmt_start
-                    && ident_at(toks, i + 1) == Some("_")
-                    && toks.get(i + 2).is_some_and(|p| is_punct(p, "="))
-                {
-                    if let Some((fname, is_method, line, col)) =
-                        final_call_of_stmt(toks, i + 3, body_close)
-                    {
-                        f.discards.push((
-                            Fact {
-                                line,
-                                col,
-                                what: fname.clone(),
-                            },
-                            fname,
-                            is_method,
-                        ));
-                    }
-                }
-
                 // Calls: ident followed by `(` (or macro `!`).
                 let next_is = |s: &str| toks.get(i + 1).is_some_and(|p| is_punct(p, s));
                 if next_is("!")
@@ -899,6 +837,13 @@ fn extract_facts(
                         .is_some_and(|p| is_punct(p, "(") || is_punct(p, "[") || is_punct(p, "{"))
                     && !t.in_test
                 {
+                    if PANIC_MACROS.contains(&name) {
+                        f.panics.push(Fact {
+                            line: t.line,
+                            col: t.col,
+                            what: format!("{name}!"),
+                        });
+                    }
                     f.events.push(Event::Call {
                         target: CallTarget::Macro(t.text.clone()),
                         recv: Vec::new(),
@@ -913,15 +858,11 @@ fn extract_facts(
                     let stmt_is_let = ident_at(toks, stmt_start) == Some("let");
                     if is_method {
                         let chain = receiver_chain(toks, i - 1);
-                        // `.ok();` statement-form discard.
-                        if name == "ok"
-                            && toks.get(i + 2).is_some_and(|p| is_punct(p, ")"))
-                            && toks.get(i + 3).is_some_and(|p| is_punct(p, ";"))
-                        {
-                            f.ok_discards.push(Fact {
+                        if (name == "unwrap" || name == "expect") && !t.in_test {
+                            f.panics.push(Fact {
                                 line: t.line,
                                 col: t.col,
-                                what: "ok".to_string(),
+                                what: format!(".{name}()"),
                             });
                         }
                         // Lock acquisition: `.lock()` always; `.read()` /
@@ -1089,48 +1030,6 @@ fn chain_starts_stmt(toks: &[Token], stmt_start: usize, chain: &[String]) -> boo
         i += 1;
     }
     false
-}
-
-/// For `let _ = <expr>;`: the final (rightmost, depth-0) call applied in
-/// the expression, so `w.join()` reports `join` and
-/// `run(x).expect("…")` reports `expect`. Macros are skipped — the only
-/// macro discard idiom in this workspace is fmt-to-`String` `write!`,
-/// which cannot fail. Returns `(name, is_method, line, col)`.
-fn final_call_of_stmt(
-    toks: &[Token],
-    from: usize,
-    limit: usize,
-) -> Option<(String, bool, usize, usize)> {
-    let mut depth = 0isize;
-    let mut last: Option<(String, bool, usize, usize)> = None;
-    let mut i = from;
-    while i < limit {
-        let t = &toks[i];
-        if t.kind == TokenKind::Punct {
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                ";" if depth <= 0 => break,
-                _ => {}
-            }
-        } else if t.kind == TokenKind::Ident
-            && depth == 0
-            && toks.get(i + 1).is_some_and(|p| is_punct(p, "("))
-        {
-            if toks.get(i + 1).is_some_and(|p| is_punct(p, "!")) {
-                return None; // macro discard — out of scope
-            }
-            let is_method = i > 0 && is_punct(&toks[i - 1], ".");
-            last = Some((t.text.clone(), is_method, t.line, t.col));
-        } else if t.kind == TokenKind::Ident
-            && depth == 0
-            && toks.get(i + 1).is_some_and(|p| is_punct(p, "!"))
-        {
-            return None; // macro invocation at top level — skip
-        }
-        i += 1;
-    }
-    last
 }
 
 /// Whether `name` is a std blocking primitive for UF021 purposes.

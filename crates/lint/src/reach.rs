@@ -1,35 +1,16 @@
-//! Graph rules: determinism reachability (UF010–UF012), lock-order
-//! safety (UF020–UF021) and error-flow hygiene (UF030–UF031).
+//! Graph rules: determinism reachability (UF011–UF012), lock-order
+//! safety (UF020–UF021) and panic sites on sim paths (UF031).
 //!
 //! Token rules see one file at a time; these rules see the whole
 //! workspace through the call graph built by [`crate::graph`]. Each
-//! diagnostic is positioned at the *usage site* (the wall-clock read,
-//! the blocking call, the discarded `Result`), never at the sim root —
-//! so a finding is fixed or allowed exactly where the code is.
-
-use std::collections::BTreeMap;
+//! diagnostic is positioned at the *usage site* (the RNG call, the
+//! blocking call, the panic site), never at the sim root — so a
+//! finding is fixed or allowed exactly where the code is.
 
 use crate::graph::Graph;
 use crate::parse::ParsedFile;
-use crate::scan::FileClass;
+use crate::scan::is_bin_path;
 use crate::{Code, Diagnostic};
-
-/// Std functions whose `Result`/side-effect must not be dropped via
-/// `let _ =` in library code (UF030). Workspace functions are matched
-/// by name against every fn returning `Result`.
-const STD_MUST_CHECK: &[&str] = &[
-    "join",
-    "send",
-    "recv",
-    "try_recv",
-    "remove_file",
-    "remove_dir_all",
-    "create_dir",
-    "create_dir_all",
-    "flush",
-    "sync_all",
-    "set_len",
-];
 
 fn diag(code: Code, rel: &str, line: usize, col: usize, message: String) -> Diagnostic {
     Diagnostic {
@@ -51,132 +32,64 @@ fn path_suffix(graph: &Graph, files: &[ParsedFile], id: usize) -> String {
     }
 }
 
-/// Run every graph rule. `token_diags` holds the per-file token-rule
-/// findings (pre-suppression), keyed by workspace-relative path — UF031
-/// lifts the UF002 entries among them onto the call graph.
-pub fn run_graph_rules(
-    files: &[ParsedFile],
-    graph: &Graph,
-    token_diags: &BTreeMap<String, Vec<Diagnostic>>,
-) -> Vec<Diagnostic> {
+/// Run every graph rule.
+pub fn run_graph_rules(files: &[ParsedFile], graph: &Graph) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-
-    // Any workspace fn name returning Result, for UF030.
-    let mut result_fns = std::collections::BTreeSet::new();
-    for file in files {
-        for item in &file.items {
-            if item.returns_result && !item.in_test {
-                result_fns.insert(item.name.as_str());
-            }
-        }
-    }
 
     for (id, &(f, i)) in graph.fns.iter().enumerate() {
         let file = &files[f];
         let item = &file.items[i];
-        if item.in_test {
+        if item.in_test || !graph.is_reachable(id) {
             continue;
         }
-        let class = FileClass::from_rel_path(&file.rel);
-        let reachable = graph.is_reachable(id);
 
-        // ---- UF010/UF011/UF012: determinism reachability ----
-        if reachable {
-            if !class.wall_clock_allowed {
-                for fact in &item.facts.wall_clock {
-                    out.push(diag(
-                        Code::UF010,
-                        &file.rel,
-                        fact.line,
-                        fact.col,
-                        format!(
-                            "`{}` reachable from {} — sim paths must use virtual time",
-                            fact.what,
-                            path_suffix(graph, files, id)
-                        ),
-                    ));
-                }
-            }
-            for fact in &item.facts.rng {
+        // ---- UF011/UF012: determinism reachability ----
+        for fact in &item.facts.rng {
+            out.push(diag(
+                Code::UF011,
+                &file.rel,
+                fact.line,
+                fact.col,
+                format!(
+                    "unseeded randomness `{}` reachable from {} — seed every RNG from the plan",
+                    fact.what,
+                    path_suffix(graph, files, id)
+                ),
+            ));
+        }
+        for (fact, chain, _method) in &item.facts.map_iters {
+            if resolves_to_std_map(files, item, chain) {
                 out.push(diag(
-                    Code::UF011,
+                    Code::UF012,
                     &file.rel,
                     fact.line,
                     fact.col,
                     format!(
-                        "unseeded randomness `{}` reachable from {} — seed every RNG from the plan",
+                        "iteration over a std HashMap/HashSet (`{}`) reachable from {} — \
+                             iteration order is per-process random; iterate a sorted or \
+                             structure-ordered view",
                         fact.what,
                         path_suffix(graph, files, id)
                     ),
                 ));
             }
-            for (fact, chain, _method) in &item.facts.map_iters {
-                if resolves_to_std_map(files, item, chain) {
-                    out.push(diag(
-                        Code::UF012,
-                        &file.rel,
-                        fact.line,
-                        fact.col,
-                        format!(
-                            "iteration over a std HashMap/HashSet (`{}`) reachable from {} — \
-                             iteration order is per-process random; iterate a sorted or \
-                             structure-ordered view",
-                            fact.what,
-                            path_suffix(graph, files, id)
-                        ),
-                    ));
-                }
-            }
         }
 
-        // ---- UF030: discarded Results in library code ----
-        if !class.is_bin {
-            for (fact, callee, _is_method) in &item.facts.discards {
-                let must_check = result_fns.contains(callee.as_str())
-                    || STD_MUST_CHECK.contains(&callee.as_str());
-                if must_check {
-                    out.push(diag(
-                        Code::UF030,
-                        &file.rel,
-                        fact.line,
-                        fact.col,
-                        format!(
-                            "`let _ =` discards the Result of `{callee}` — handle it or \
-                             document why it cannot matter"
-                        ),
-                    ));
-                }
-            }
-            for fact in &item.facts.ok_discards {
+        // ---- UF031: panic sites on sim paths (bins may panic on startup) ----
+        if !is_bin_path(&file.rel) {
+            for fact in &item.facts.panics {
                 out.push(diag(
-                    Code::UF030,
+                    Code::UF031,
                     &file.rel,
                     fact.line,
                     fact.col,
-                    "statement-form `.ok();` swallows an error — handle it or document why"
-                        .to_string(),
+                    format!(
+                        "panic site `{}` reachable from {} — a sim-path panic aborts the \
+                         whole measured run",
+                        fact.what,
+                        path_suffix(graph, files, id)
+                    ),
                 ));
-            }
-        }
-
-        // ---- UF031: panic sites on sim paths ----
-        if reachable {
-            if let Some(diags) = token_diags.get(&file.rel) {
-                for d in diags {
-                    if d.code == Code::UF002 && d.line >= item.line && d.line <= item.end_line {
-                        out.push(diag(
-                            Code::UF031,
-                            &file.rel,
-                            d.line,
-                            d.col,
-                            format!(
-                                "panic site reachable from {} — a sim-path panic aborts the \
-                                 whole measured run",
-                                path_suffix(graph, files, id)
-                            ),
-                        ));
-                    }
-                }
             }
         }
     }

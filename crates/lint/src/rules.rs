@@ -1,19 +1,11 @@
-//! The six token-stream rules.
+//! The three token-stream rules (UF003, UF005, UF006).
 //!
-//! Each rule is a pattern over the lexed token stream, scoped by the
-//! file's [`FileClass`] (which crate it belongs to, whether it is a
-//! binary) and by the per-token `in_test` flag. Rules fire on code the
-//! compiler accepted, so they can assume well-formed token sequences.
+//! Each rule is a pattern over the lexed token stream, skipping tokens
+//! whose `in_test` flag is set. Rules fire on code the compiler
+//! accepted, so they can assume well-formed token sequences.
 
 use crate::lexer::{Lexed, Token, TokenKind};
-use crate::scan::FileClass;
 use crate::{Code, Diagnostic};
-
-/// Panicking calls forbidden in library code (UF002).
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-/// Printing macros forbidden in library code (UF004).
-const PRINT_MACROS: &[&str] = &["println", "eprintln", "print", "eprint", "dbg"];
 
 /// Narrow integer target types for UF003. `usize`/`u64` are not listed:
 /// every supported sim target is 64-bit, so widening to them is lossless.
@@ -43,56 +35,13 @@ const STRING_MATCHERS: &[&str] = &["contains", "starts_with", "ends_with", "find
 
 /// Run every rule over one lexed file. Paths on the returned diagnostics
 /// are empty; the scanner fills them in.
-pub fn run_rules(lexed: &Lexed, class: &FileClass) -> Vec<Diagnostic> {
+pub fn run_rules(lexed: &Lexed) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let toks = &lexed.tokens;
     for i in 0..toks.len() {
         let t = &toks[i];
         if t.in_test {
             continue;
-        }
-
-        // UF001 — wall-clock reads in deterministic paths. Virtual time
-        // (`SimDevice`'s clock) is the only clock sim code may consult.
-        if !class.wall_clock_allowed && t.kind == TokenKind::Ident {
-            if t.text == "Instant" && punct(toks, i + 1, "::") && ident(toks, i + 2, "now") {
-                out.push(diag(Code::UF001, t, "wall-clock read `Instant::now()` in a sim path — use the device's virtual clock"));
-            }
-            if t.text == "SystemTime" {
-                out.push(diag(
-                    Code::UF001,
-                    t,
-                    "`SystemTime` in a sim path — sim code must be independent of wall time",
-                ));
-            }
-        }
-
-        // UF002 — panicking calls in library code.
-        if !class.is_bin && t.kind == TokenKind::Ident {
-            if (t.text == "unwrap" || t.text == "expect")
-                && i > 0
-                && punct(toks, i - 1, ".")
-                && punct(toks, i + 1, "(")
-            {
-                out.push(diag(
-                    Code::UF002,
-                    t,
-                    &format!(
-                        "`.{}()` in library code — return a typed error instead",
-                        t.text
-                    ),
-                ));
-            }
-            if PANIC_MACROS.contains(&t.text.as_str()) && punct(toks, i + 1, "!") {
-                out.push(diag(
-                    Code::UF002,
-                    t,
-                    &format!(
-                        "`{}!` in library code — return a typed error instead",
-                        t.text
-                    ),
-                ));
-            }
         }
 
         // UF003 — lossy `as` narrowing of time/address values.
@@ -111,26 +60,6 @@ pub fn run_rules(lexed: &Lexed, class: &FileClass) -> Vec<Diagnostic> {
                     }
                 }
             }
-        }
-
-        // UF004 — printing from library code. Crate `bench` is the
-        // shared CLI layer for its own binaries (flag parsing, user
-        // diagnostics); stdout/stderr *is* its output channel, so it is
-        // exempt like the bins themselves.
-        if !class.is_bin
-            && class.crate_name != "bench"
-            && t.kind == TokenKind::Ident
-            && PRINT_MACROS.contains(&t.text.as_str())
-            && punct(toks, i + 1, "!")
-        {
-            out.push(diag(
-                Code::UF004,
-                t,
-                &format!(
-                    "`{}!` in library code — route output through uflip_obs/uflip_report",
-                    t.text
-                ),
-            ));
         }
 
         // UF005 — string-matching on rendered error messages.
@@ -185,11 +114,6 @@ fn diag(code: Code, at: &Token, message: &str) -> Diagnostic {
 fn punct(toks: &[Token], i: usize, text: &str) -> bool {
     toks.get(i)
         .is_some_and(|t| t.kind == TokenKind::Punct && t.text == text)
-}
-
-fn ident(toks: &[Token], i: usize, text: &str) -> bool {
-    toks.get(i)
-        .is_some_and(|t| t.kind == TokenKind::Ident && t.text == text)
 }
 
 /// Walk backward from an `as` token over the cast's source expression and

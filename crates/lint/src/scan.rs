@@ -11,7 +11,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::allow::{parse_markers, Scope};
+use crate::allow::{count_policy_suppressions, parse_markers, Scope};
 use crate::config::LintConfig;
 use crate::graph;
 use crate::lexer::lex;
@@ -20,43 +20,11 @@ use crate::reach::run_graph_rules;
 use crate::rules::run_rules;
 use crate::{json_string, Code, Diagnostic};
 
-/// Real-device backends that legitimately read the wall clock: they time
-/// actual hardware, not the simulation.
-const WALL_CLOCK_FILES: &[&str] = &[
-    "crates/device/src/direct_io.rs",
-    "crates/device/src/threaded_queue.rs",
-];
-
-/// How a file is scoped for rule purposes, derived from its
-/// workspace-relative path.
-#[derive(Debug, Clone)]
-pub struct FileClass {
-    /// Crate directory name (`nand`, `core`, …; `uflip` for the facade).
-    pub crate_name: String,
-    /// Binary target (`src/bin/*` or `src/main.rs`): CLI entry points may
-    /// print and may panic on startup errors.
-    pub is_bin: bool,
-    /// Wall-clock reads permitted: harness/bench code, binaries and the
-    /// real-device backends. Everything else is a deterministic sim path.
-    pub wall_clock_allowed: bool,
-}
-
-impl FileClass {
-    /// Classify a workspace-relative path (always `/`-separated).
-    pub fn from_rel_path(rel: &str) -> FileClass {
-        let crate_name = rel
-            .strip_prefix("crates/")
-            .and_then(|r| r.split('/').next())
-            .unwrap_or("uflip")
-            .to_string();
-        let is_bin = rel.contains("/src/bin/") || rel.ends_with("src/main.rs");
-        let wall_clock_allowed = crate_name == "bench" || is_bin || WALL_CLOCK_FILES.contains(&rel);
-        FileClass {
-            crate_name,
-            is_bin,
-            wall_clock_allowed,
-        }
-    }
+/// Whether a workspace-relative path (always `/`-separated) is a binary
+/// target (`src/bin/*` or `src/main.rs`): CLI entry points may panic on
+/// startup errors, so UF031 skips them.
+pub(crate) fn is_bin_path(rel: &str) -> bool {
+    rel.contains("/src/bin/") || rel.ends_with("src/main.rs")
 }
 
 /// Outcome of scanning a file set.
@@ -66,8 +34,11 @@ pub struct ScanResult {
     pub diagnostics: Vec<Diagnostic>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Total well-formed allow markers seen (the `--check-allows` budget).
+    /// Well-formed allow markers seen.
     pub allow_count: usize,
+    /// `#[expect]`/`#[allow]` attributes naming a clippy lint of the
+    /// lint policy ([`crate::POLICY_LINTS`]).
+    pub clippy_suppressions: usize,
     /// The configured allow budget, if any (`[policy] max_allows`).
     pub max_allows: Option<usize>,
     /// Cycles found in the lock-order graph (each a sorted lock-id list;
@@ -90,9 +61,16 @@ impl ScanResult {
         self.unsuppressed().count()
     }
 
-    /// Whether the allow count exceeds the configured budget.
+    /// Allow markers plus clippy policy suppressions: the count the
+    /// `--check-allows` budget applies to.
+    pub fn suppression_count(&self) -> usize {
+        self.allow_count + self.clippy_suppressions
+    }
+
+    /// Whether the suppression count exceeds the configured budget.
     pub fn over_allow_budget(&self) -> bool {
-        self.max_allows.is_some_and(|max| self.allow_count > max)
+        self.max_allows
+            .is_some_and(|max| self.suppression_count() > max)
     }
 
     /// Render the machine-readable report.
@@ -103,6 +81,8 @@ impl ScanResult {
         s.push_str(&self.unsuppressed_count().to_string());
         s.push_str(",\n  \"allows\": ");
         s.push_str(&self.allow_count.to_string());
+        s.push_str(",\n  \"clippy_suppressions\": ");
+        s.push_str(&self.clippy_suppressions.to_string());
         s.push_str(",\n  \"lock_cycles\": ");
         s.push_str(&self.lock_cycles.len().to_string());
         s.push_str(",\n  \"diagnostics\": [");
@@ -139,15 +119,16 @@ pub fn scan_sources(sources: &[(String, String)], cfg: &LintConfig) -> ScanResul
     let mut parsed = Vec::new();
     let mut per_file_markers = Vec::new();
     let mut per_file_bad = Vec::new();
-    let mut token_diags: BTreeMap<String, Vec<Diagnostic>> = BTreeMap::new();
+    let mut by_file: BTreeMap<String, Vec<Diagnostic>> = BTreeMap::new();
     let mut allow_count = 0usize;
+    let mut clippy_suppressions = 0usize;
 
     for (rel, src) in sources {
-        let class = FileClass::from_rel_path(rel);
         let lexed = lex(src);
         let (mut markers, bad) = parse_markers(&lexed.comments);
         allow_count += markers.len();
-        let mut diags = run_rules(&lexed, &class);
+        clippy_suppressions += count_policy_suppressions(&lexed.tokens);
+        let mut diags = run_rules(&lexed);
         for d in &mut diags {
             d.path = rel.clone();
         }
@@ -163,7 +144,7 @@ pub fn scan_sources(sources: &[(String, String)], cfg: &LintConfig) -> ScanResul
                     .map(|it| (it.line, it.end_line));
             }
         }
-        token_diags.insert(rel.clone(), diags);
+        by_file.insert(rel.clone(), diags);
         parsed.push(pf);
         per_file_markers.push(markers);
         per_file_bad.push(bad);
@@ -171,12 +152,13 @@ pub fn scan_sources(sources: &[(String, String)], cfg: &LintConfig) -> ScanResul
 
     // Whole-workspace graph rules.
     let g = graph::build(&parsed, cfg);
-    let graph_diags = run_graph_rules(&parsed, &g, &token_diags);
+    let graph_diags = run_graph_rules(&parsed, &g);
 
     // Combine, then match suppressions per file.
     let mut result = ScanResult {
         files_scanned: sources.len(),
         allow_count,
+        clippy_suppressions,
         max_allows: cfg.max_allows,
         lock_cycles: g.cycles.clone(),
         callgraph_json: graph::callgraph_json(&parsed, &g),
@@ -184,7 +166,6 @@ pub fn scan_sources(sources: &[(String, String)], cfg: &LintConfig) -> ScanResul
         ..ScanResult::default()
     };
 
-    let mut by_file: BTreeMap<String, Vec<Diagnostic>> = token_diags;
     for d in graph_diags {
         by_file.entry(d.path.clone()).or_default().push(d);
     }

@@ -1,4 +1,4 @@
-//! UF010 fixture: wall-clock reachable from a sim root.
+//! Former UF010 fixture: wall-clock reads, reachable (line 8) or not (line 12).
 
 pub fn execute_plan() {
     measure();

@@ -1,4 +1,4 @@
-//! UF030 fixture: discarded Results in library code.
+//! Former UF030 fixture: discarded Results in library code.
 
 fn produce() -> Result<u32, u32> {
     Ok(1)

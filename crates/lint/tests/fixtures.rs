@@ -3,15 +3,16 @@
 //!
 //! Fixtures live under `tests/fixtures/` (not compiled by cargo) and
 //! are scanned as if they sat in a library crate's `src/`, which makes
-//! every rule applicable.
+//! every rule applicable. The fixtures of the rules that moved to clippy
+//! live in `tests/clippy_fixture/` and are checked by `clippy_policy.rs`.
 
 use uflip_lint::{scan_source, Code, Diagnostic};
 
 fn scan_fixture(name: &str) -> Vec<Diagnostic> {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
     let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    // Pretend the fixture is library code in a simulation crate so no
-    // exemption (bin, bench, wall-clock allowlist) applies.
+    // Pretend the fixture is library code in a simulation crate so the
+    // binary exemption does not apply.
     scan_source(&format!("crates/ftl/src/{name}"), &src)
 }
 
@@ -27,55 +28,11 @@ fn findings(name: &str) -> Vec<(Code, usize)> {
 }
 
 #[test]
-fn uf001_flags_wall_clock_reads() {
-    assert_eq!(
-        findings("uf001_wall_clock.rs"),
-        vec![(Code::UF001, 4), (Code::UF001, 5)]
-    );
-}
-
-#[test]
-fn uf002_flags_panics_outside_tests() {
-    assert_eq!(
-        findings("uf002_panic.rs"),
-        vec![
-            (Code::UF002, 4),
-            (Code::UF002, 5),
-            (Code::UF002, 7),
-            (Code::UF002, 11),
-        ],
-        "the unwrap inside #[cfg(test)] must not be flagged"
-    );
-}
-
-#[test]
 fn uf003_flags_lossy_narrowing_only() {
     assert_eq!(
         findings("uf003_narrowing.rs"),
         vec![(Code::UF003, 4), (Code::UF003, 5)],
         "widening casts and non-sensitive expressions must pass"
-    );
-}
-
-#[test]
-fn uf004_flags_library_printing() {
-    assert_eq!(
-        findings("uf004_println.rs"),
-        vec![(Code::UF004, 4), (Code::UF004, 5)]
-    );
-}
-
-#[test]
-fn uf004_exempts_binaries() {
-    let src = std::fs::read_to_string(format!(
-        "{}/tests/fixtures/uf004_println.rs",
-        env!("CARGO_MANIFEST_DIR")
-    ))
-    .expect("fixture");
-    let diags = scan_source("crates/ftl/src/bin/tool.rs", &src);
-    assert!(
-        diags.iter().all(|d| d.code != Code::UF004),
-        "bins own stdout/stderr: {diags:?}"
     );
 }
 
@@ -98,13 +55,13 @@ fn allow_markers_suppress_same_and_next_line() {
     let unsuppressed: Vec<_> = diags.iter().filter(|d| d.suppressed.is_none()).collect();
     assert!(
         unsuppressed.is_empty(),
-        "both unwraps are covered: {unsuppressed:?}"
+        "both casts are covered: {unsuppressed:?}"
     );
     let suppressed: Vec<_> = diags.iter().filter(|d| d.suppressed.is_some()).collect();
     assert_eq!(suppressed.len(), 2, "{diags:?}");
     assert!(suppressed
         .iter()
-        .all(|d| d.code == Code::UF002 && d.suppressed.as_deref().is_some_and(|r| !r.is_empty())));
+        .all(|d| d.code == Code::UF003 && d.suppressed.as_deref().is_some_and(|r| !r.is_empty())));
 }
 
 #[test]
@@ -117,16 +74,6 @@ fn uf000_reports_malformed_and_unused_markers() {
 }
 
 // ---- graph rules (single-file workspace, default sim roots) ----
-
-#[test]
-fn uf010_flags_wall_clock_only_on_reachable_paths() {
-    assert_eq!(
-        findings("uf010_reach.rs"),
-        vec![(Code::UF001, 8), (Code::UF001, 12), (Code::UF010, 8)],
-        "the token rule fires on both reads; the graph rule only on the one \
-         reachable from execute_plan"
-    );
-}
 
 #[test]
 fn uf011_flags_unseeded_rng_only_on_reachable_paths() {
@@ -180,20 +127,11 @@ fn uf021_flags_guard_held_across_blocking_recv() {
 }
 
 #[test]
-fn uf030_flags_let_underscore_and_statement_ok() {
-    assert_eq!(
-        findings("uf030_discard.rs"),
-        vec![(Code::UF030, 8), (Code::UF030, 9)],
-        "`?`-propagation in `handled` must stay silent"
-    );
-}
-
-#[test]
 fn uf031_lifts_panic_sites_onto_the_call_graph() {
     assert_eq!(
         findings("uf031_panic_reach.rs"),
-        vec![(Code::UF002, 9), (Code::UF002, 14), (Code::UF031, 9)],
-        "both unwraps are UF002, but only the reachable one is also UF031"
+        vec![(Code::UF031, 9)],
+        "only the unwrap reachable from execute_plan is UF031; cold's is clippy's alone"
     );
 }
 
@@ -222,8 +160,8 @@ fn allow_fn_without_following_function_is_hygiene_error() {
 fn lexer_extents_keep_strings_comments_and_chars_inert() {
     assert_eq!(
         findings("lexer_edges.rs"),
-        vec![(Code::UF002, 17)],
+        vec![(Code::UF006, 17)],
         "raw strings, nested block comments and escaped char literals are \
-         inert, and the real unwrap after them still lints"
+         inert, and the real float comparison after them still lints"
     );
 }

@@ -3,8 +3,8 @@
 //! the one on line 8 is well-formed but suppresses nothing — both UF000.
 
 pub fn noisy() -> u32 {
-    // uflip-lint: allow(UF002)
+    // uflip-lint: allow(UF003)
     let seven = 7;
-    // uflip-lint: allow(UF004, reason = "nothing here prints")
+    // uflip-lint: allow(UF006, reason = "nothing here compares floats")
     seven
 }

@@ -3,16 +3,16 @@
 //! and the lexer must stay in sync for the real code that follows.
 
 pub fn edges() -> usize {
-    let marker = r#"// uflip-lint: allow(UF002, reason = "not a real marker")"#;
-    let clock = r##"Instant::now() and thread_rng() live in a string"##;
-    /* outer /* nested .unwrap() panic!("still a comment") */ still outer */
+    let marker = r#"// uflip-lint: allow(UF006, reason = "not a real marker")"#;
+    let cast = r##"lat_ns as u32 == 1.5 lives in a string"##;
+    /* outer /* nested x != 2.5 && lba as u16 "still a comment" */ still outer */
     let quote = '\'';
     let byte = b'\'';
     let ok = quote == '\'' && byte == b'\'';
-    marker.len() + clock.len() + usize::from(ok)
+    marker.len() + cast.len() + usize::from(ok)
 }
 
-pub fn still_lints() {
+pub fn still_lints(x: f64) -> bool {
     let v: Vec<u32> = vec![1];
-    let _x = v.first().unwrap();
+    v.is_empty() || x == 0.5
 }

@@ -2,7 +2,7 @@
 //! `engine` (sim roots) → `model` (free fns) → nothing, plus `hw`
 //! (methods and an `Ftl` trait impl). Asserts the exact edge set, the
 //! reachability partition and the root-path reconstruction that the
-//! UF01x/UF03x messages rely on.
+//! UF011/UF012/UF031 messages rely on.
 
 use uflip_lint::config::LintConfig;
 use uflip_lint::graph::{self, Graph};
@@ -162,30 +162,27 @@ fn root_path_reconstructs_the_call_chain() {
     assert_eq!(
         g.root_path(&files, helper),
         vec!["execute_plan", "step", "helper"],
-        "UF01x messages print this chain; it must start at the root"
+        "UF011/UF012/UF031 messages print this chain; it must start at the root"
     );
 }
 
 #[test]
 fn scan_sources_runs_graph_rules_across_crates() {
-    // Put a wall-clock read in the model crate, reachable only through
+    // Put an unseeded RNG in the model crate, reachable only through
     // the engine crate's root: the finding must land in model's file.
     let mut srcs = sources();
-    srcs[1].1 = srcs[1].1.replace(
-        "7\n",
-        "std::time::Instant::now().elapsed().as_nanos() as u64\n",
-    );
+    srcs[1].1 = srcs[1].1.replace("7\n", "rand::thread_rng().next_u64()\n");
     let result = scan_sources(&srcs, &LintConfig::default());
-    let uf010: Vec<_> = result
+    let uf011: Vec<_> = result
         .diagnostics
         .iter()
-        .filter(|d| d.code == Code::UF010)
+        .filter(|d| d.code == Code::UF011)
         .collect();
-    assert_eq!(uf010.len(), 1, "{:?}", result.diagnostics);
-    assert_eq!(uf010[0].path, "crates/model/src/lib.rs");
+    assert_eq!(uf011.len(), 1, "{:?}", result.diagnostics);
+    assert_eq!(uf011[0].path, "crates/model/src/lib.rs");
     assert!(
-        uf010[0].message.contains("execute_plan") && uf010[0].message.contains("step"),
+        uf011[0].message.contains("execute_plan") && uf011[0].message.contains("step"),
         "message shows the cross-crate chain: {}",
-        uf010[0].message
+        uf011[0].message
     );
 }

@@ -172,8 +172,11 @@ impl MetricsSnapshot {
     }
 
     /// Pretty JSON text of the snapshot.
+    #[expect(
+        clippy::expect_used,
+        reason = "serialization of a plain snapshot struct cannot fail"
+    )]
     pub fn to_json_pretty(&self) -> String {
-        // uflip-lint: allow(UF002, reason = "serialization of a plain snapshot struct cannot fail")
         serde_json::to_string_pretty(self).expect("snapshot serializes")
     }
 

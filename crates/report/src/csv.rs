@@ -5,8 +5,6 @@
 //! machine-readable so downstream analysis can reproduce every figure
 //! from flat files.
 
-use std::fmt::Write as _;
-
 /// Render a table as CSV. Fields containing commas, quotes or newlines
 /// are quoted per RFC 4180.
 pub fn to_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -26,8 +24,9 @@ fn write_row(out: &mut String, fields: impl Iterator<Item = String>) {
         }
         first = false;
         if f.contains(',') || f.contains('"') || f.contains('\n') {
-            let escaped = f.replace('"', "\"\"");
-            let _ = write!(out, "\"{escaped}\"");
+            out.push('"');
+            out.push_str(&f.replace('"', "\"\""));
+            out.push('"');
         } else {
             out.push_str(&f);
         }

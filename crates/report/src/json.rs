@@ -5,8 +5,11 @@ use std::path::Path;
 use uflip_core::RunResult;
 
 /// Serialize any result to pretty JSON.
+#[expect(
+    clippy::expect_used,
+    reason = "serialization of plain result structs with string keys cannot fail"
+)]
 pub fn to_json<T: Serialize>(value: &T) -> String {
-    // uflip-lint: allow(UF002, reason = "serialization of plain result structs with string keys cannot fail")
     serde_json::to_string_pretty(value).expect("benchmark results are always serializable")
 }
 

@@ -129,6 +129,17 @@ fn mean_ms(rts: &[Duration], skip: usize) -> f64 {
     total / slice.len() as f64 * 1e3
 }
 
+/// Print one `UFLIP_DEBUG`-gated diagnostic trace line to stderr.
+#[expect(
+    clippy::print_stderr,
+    reason = "UFLIP_DEBUG-gated diagnostic trace; stderr is the debug channel"
+)]
+fn debug_trace(line: std::fmt::Arguments<'_>) {
+    if std::env::var_os("UFLIP_DEBUG").is_some() {
+        eprintln!("{line}");
+    }
+}
+
 /// Run the full protocol against `dev`.
 pub fn characterize(dev: &mut dyn BlockDevice, cfg: &CharacterizeConfig) -> Result<DeviceSummary> {
     let capacity = dev.capacity_bytes();
@@ -183,13 +194,10 @@ pub fn characterize(dev: &mut dyn BlockDevice, cfg: &CharacterizeConfig) -> Resu
             let run = execute_run(dev, &spec_p)?;
             dev.idle(pause);
             let m = mean_ms(&run.rts, phases.start_up.min(run.rts.len() / 4));
-            if std::env::var_os("UFLIP_DEBUG").is_some() {
-                // uflip-lint: allow(UF004, reason = "UFLIP_DEBUG-gated diagnostic trace; stderr is the debug channel")
-                eprintln!(
-                    "  [pause sweep] pause={:.2}ms mean={m:.2}ms sw={sw_ms:.2}",
-                    p.as_secs_f64() * 1e3
-                );
-            }
+            debug_trace(format_args!(
+                "  [pause sweep] pause={:.2}ms mean={m:.2}ms sw={sw_ms:.2}",
+                p.as_secs_f64() * 1e3
+            ));
             // "behave like sequential writes" (§5.2): the paced cost
             // must collapse toward the SW mean. We require at least a
             // halving of the random-write cost *and* landing within a
@@ -212,10 +220,10 @@ pub fn characterize(dev: &mut dyn BlockDevice, cfg: &CharacterizeConfig) -> Resu
         dev.idle(pause);
         series.push((t, mean_ms(&run.rts, phases.start_up.min(run.rts.len() / 4))));
         if let Some((tt, m)) = series.last() {
-            if std::env::var_os("UFLIP_DEBUG").is_some() {
-                // uflip-lint: allow(UF004, reason = "UFLIP_DEBUG-gated diagnostic trace; stderr is the debug channel")
-                eprintln!("  [locality] {} MB -> {m:.2} ms", tt / (1024 * 1024));
-            }
+            debug_trace(format_args!(
+                "  [locality] {} MB -> {m:.2} ms",
+                tt / (1024 * 1024)
+            ));
         }
         t *= 2;
     }

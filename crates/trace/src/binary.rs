@@ -151,7 +151,10 @@ impl Trace {
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    // uflip-lint: allow(UF002, reason = "metadata strings are device names and labels far below 64 KiB; a longer one is a construction-time programmer error")
+    #[expect(
+        clippy::expect_used,
+        reason = "metadata strings are device names and labels far below 64 KiB; a longer one is a construction-time programmer error"
+    )]
     let len = u16::try_from(s.len()).expect("trace metadata strings are short");
     out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(s.as_bytes());

@@ -29,12 +29,18 @@ impl Trace {
             ("device".to_string(), Value::Str(self.device.clone())),
             ("label".to_string(), Value::Str(self.label.clone())),
         ]);
+        #[expect(
+            clippy::expect_used,
+            reason = "serialization of a plain header struct cannot fail"
+        )]
         let mut out =
-            // uflip-lint: allow(UF002, reason = "serialization of a plain header struct cannot fail")
-        serde_json::to_string(&header).expect("trace headers are always serializable");
+            serde_json::to_string(&header).expect("trace headers are always serializable");
         out.push('\n');
         for r in &self.records {
-            // uflip-lint: allow(UF002, reason = "serialization of a plain record struct cannot fail")
+            #[expect(
+                clippy::expect_used,
+                reason = "serialization of a plain record struct cannot fail"
+            )]
             out.push_str(&serde_json::to_string(r).expect("trace records are always serializable"));
             out.push('\n');
         }

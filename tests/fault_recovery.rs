@@ -18,7 +18,8 @@ use std::time::Duration;
 use uflip::core::replay::{replay_trace_with_policy, ReplayMode};
 use uflip::core::{IoPolicy, Workload};
 use uflip::device::{
-    BlockDevice, ControllerConfig, FaultPlan, FaultyDevice, MemDevice, SimDevice, TracingDevice,
+    BlockDevice, ControllerConfig, FaultPlan, FaultyDevice, IoQueue, MemDevice, SimDevice,
+    TracingDevice,
 };
 use uflip::ftl::{
     BlockMapConfig, BlockMapFtl, Ftl, HybridLogConfig, HybridLogFtl, PageMapConfig, PageMapFtl,
@@ -26,7 +27,7 @@ use uflip::ftl::{
 };
 use uflip::nand::FailureKind;
 use uflip::obs::{CounterId, Metrics};
-use uflip::patterns::{LbaFn, Mode, ParallelSpec, PatternSpec};
+use uflip::patterns::{IoRequest, LbaFn, Mode, ParallelSpec, PatternSpec};
 use uflip::trace::{Trace, TraceRecord};
 
 const KB: u64 = 1024;
@@ -165,12 +166,16 @@ fn open_loop_replay_survives_transient_read_errors() {
 /// A retried submission lands after its intended instant; every later
 /// submission must still carry an instant at or after it (the
 /// `IoQueue::submit` ordering contract). Under 20 % transient read
-/// errors and the default retry policy, the submission instants that
-/// reach the device never decrease — in both replay modes and in a
-/// parallel run.
+/// errors, 5 % latency spikes of 300 µs and the default retry policy,
+/// the submission instants that reach the device never decrease — in
+/// both replay modes and in a parallel run.
 #[test]
 fn retried_submissions_keep_virtual_time_non_decreasing() {
-    let plan = FaultPlan::transient_reads(0x5EED, 0.2);
+    let plan = FaultPlan {
+        latency_spike_rate: 0.05,
+        latency_spike_ns: 300_000,
+        ..FaultPlan::transient_reads(0x5EED, 0.2)
+    };
     let traced = || {
         let inner = sim_device(PageMapFtl::new(PageMapConfig::tiny()).unwrap());
         FaultyDevice::new(TracingDevice::new(inner), plan.clone())
@@ -222,6 +227,45 @@ fn retried_submissions_keep_virtual_time_non_decreasing() {
         )
         .expect("parallel run completes under the default retry policy");
     assert_monotone("parallel", &dev);
+}
+
+/// A queued latency spike stalls the device, as a synchronous one does:
+/// a later submission at an earlier instant reaches the backend only
+/// after the stall ends, also on a fork taken after the spike.
+#[test]
+fn queued_latency_spikes_stall_later_submissions_and_forks() {
+    let spike = Duration::from_millis(5);
+    let plan = FaultPlan {
+        seed: 3,
+        latency_spike_rate: 1.0,
+        latency_spike_ns: 5_000_000,
+        ..FaultPlan::default()
+    };
+    let inner = sim_device(PageMapFtl::new(PageMapConfig::tiny()).unwrap());
+    let mut dev = FaultyDevice::new(inner, plan);
+    // Every IO spikes; each returns its completion instant.
+    let run_one = |q: &mut dyn IoQueue, offset: u64| {
+        let io = IoRequest {
+            index: 0,
+            offset,
+            size: 512,
+            mode: Mode::Read,
+            submit_delay: Duration::ZERO,
+            process: 0,
+        };
+        q.submit(&io, Duration::from_micros(1)).unwrap();
+        q.poll().expect("one IO in flight").1
+    };
+    let first = run_one(dev.io_queue().unwrap(), 0);
+    assert!(first >= spike, "the spiked IO completes after its stall");
+    let mut fork = dev.fork().expect("a faulty SimDevice forks");
+    let second = run_one(dev.io_queue().unwrap(), 4096);
+    let forked = run_one(fork.io_queue().unwrap(), 4096);
+    assert!(
+        second >= 2 * spike,
+        "the second IO waits out the first stall, then its own: {second:?}"
+    );
+    assert_eq!(forked, second, "the fork carries the stall");
 }
 
 /// Power-loss crash recovery on all three FTL families: durable pages
